@@ -427,8 +427,9 @@ let run_cmd =
   in
   let run setup workload policy ratio swap verbose =
     let ctx = setup.ctx in
-    let faults_on =
-      not (Swapdev.Faulty_device.is_none (Repro_core.Runner.fault_plan ctx))
+    let injects =
+      Repro_core.Machine.injects ~fault_plan:(Repro_core.Runner.fault_plan ctx)
+        ~chaos:(Repro_core.Runner.chaos ctx)
     in
     let audits_on = Repro_core.Runner.audit_every_ns ctx > 0 in
     let n = Repro_core.Runner.trials_for ctx workload in
@@ -453,7 +454,7 @@ let run_cmd =
             (Repro_core.Report.fcount (float_of_int r.Repro_core.Machine.swap_ins))
             (Repro_core.Report.fcount (float_of_int r.Repro_core.Machine.swap_outs))
             r.Repro_core.Machine.direct_reclaims;
-          if faults_on || audits_on then Repro_core.Report.fault_summary r;
+          if injects || audits_on then Repro_core.Report.fault_summary r;
           (match r.Repro_core.Machine.memcg with
           | Some s ->
             Repro_core.Report.memcg_summary
@@ -687,6 +688,35 @@ let export_cmd =
     (Cmd.info "export" ~doc:"Export every figure's underlying data as CSV.")
     Term.(const run $ setup_term () $ dir)
 
+(* ---------------- grid commands ---------------- *)
+
+let or_default default = function [] -> default | l -> l
+
+let default_workloads = [ Repro_core.Runner.Tpch; Repro_core.Runner.Pagerank ]
+
+let default_policies = [ Policy.Registry.Clock; Policy.Registry.Mglru_default ]
+
+let grid workloads policies ratios =
+  List.concat_map
+    (fun workload ->
+      List.concat_map
+        (fun policy -> List.map (fun ratio -> (workload, policy, ratio)) ratios)
+        policies)
+    workloads
+
+(* Fan the whole grid out through the pool, then read each cell back
+   serially so the captures print from the cache in grid order. *)
+let run_grid ctx ~swap cells =
+  Repro_core.Runner.prefetch ctx
+    (List.concat_map
+       (fun (workload, policy, ratio) ->
+         Repro_core.Runner.cell_exps ctx ~workload ~policy ~ratio ~swap)
+       cells);
+  List.iter
+    (fun (workload, policy, ratio) ->
+      ignore (Repro_core.Runner.try_cell ctx ~workload ~policy ~ratio ~swap))
+    cells
+
 (* ---------------- profile ---------------- *)
 
 let profile_cmd =
@@ -715,37 +745,11 @@ let profile_cmd =
   in
   let run setup workloads policies ratios swap =
     let ctx = setup.ctx in
-    let workloads =
-      match workloads with
-      | [] -> [ Repro_core.Runner.Tpch; Repro_core.Runner.Pagerank ]
-      | ws -> ws
-    in
-    let policies =
-      match policies with
-      | [] -> [ Policy.Registry.Clock; Policy.Registry.Mglru_default ]
-      | ps -> ps
-    in
-    let ratios = match ratios with [] -> [ 0.5; 0.9 ] | rs -> rs in
-    let cells =
-      List.concat_map
-        (fun workload ->
-          List.concat_map
-            (fun policy ->
-              List.map (fun ratio -> (workload, policy, ratio)) ratios)
-            policies)
-        workloads
-    in
-    (* Fan the whole grid out through the pool, then read back serially:
-       the per-cell tables below print from the cache in grid order. *)
-    Repro_core.Runner.prefetch ctx
-      (List.concat_map
-         (fun (workload, policy, ratio) ->
-           Repro_core.Runner.cell_exps ctx ~workload ~policy ~ratio ~swap)
-         cells);
-    List.iter
-      (fun (workload, policy, ratio) ->
-        ignore (Repro_core.Runner.try_cell ctx ~workload ~policy ~ratio ~swap))
-      cells;
+    run_grid ctx ~swap
+      (grid
+         (or_default default_workloads workloads)
+         (or_default default_policies policies)
+         (or_default [ 0.5; 0.9 ] ratios));
     List.iter
       (fun (cell, m) ->
         Repro_core.Report.section
@@ -797,41 +801,10 @@ let vmstat_cmd =
   in
   let run setup workloads policies ratios swap =
     let ctx = setup.ctx in
-    let workloads =
-      match workloads with
-      | [] -> [ Repro_core.Runner.Tpch; Repro_core.Runner.Pagerank ]
-      | ws -> ws
-    in
-    let policies =
-      match policies with
-      | [] -> [ Policy.Registry.Clock; Policy.Registry.Mglru_default ]
-      | ps -> ps
-    in
-    let ratios = match ratios with [] -> [ 0.5 ] | rs -> rs in
-    Repro_core.Runner.prefetch ctx
-      (List.concat_map
-         (fun workload ->
-           List.concat_map
-             (fun policy ->
-               List.concat_map
-                 (fun ratio ->
-                   Repro_core.Runner.cell_exps ctx ~workload ~policy ~ratio
-                     ~swap)
-                 ratios)
-             policies)
-         workloads);
-    List.iter
-      (fun workload ->
-        List.iter
-          (fun policy ->
-            List.iter
-              (fun ratio ->
-                ignore
-                  (Repro_core.Runner.try_cell ctx ~workload ~policy ~ratio
-                     ~swap))
-              ratios)
-          policies)
-      workloads;
+    let workloads = or_default default_workloads workloads in
+    let policies = or_default default_policies policies in
+    let ratios = or_default [ 0.5 ] ratios in
+    run_grid ctx ~swap (grid workloads policies ratios);
     let captured = Repro_core.Runner.vmstat_cells ctx in
     (* One section per (workload, ratio), policies as columns: the
        counters line up side by side and the two-policy delta column is
@@ -923,11 +896,6 @@ let heatmap_cmd =
                 time-vs-address heatmap.")
   in
   let run setup workload policies ratio swap interval max_regions out gnuplot =
-    let policies =
-      match policies with
-      | [] -> [ Policy.Registry.Clock; Policy.Registry.Mglru_default ]
-      | ps -> ps
-    in
     let config =
       {
         Mem.Damon.default_config with
@@ -937,15 +905,8 @@ let heatmap_cmd =
       }
     in
     let ctx = Repro_core.Runner.with_damon setup.ctx config in
-    Repro_core.Runner.prefetch ctx
-      (List.concat_map
-         (fun policy ->
-           Repro_core.Runner.cell_exps ctx ~workload ~policy ~ratio ~swap)
-         policies);
-    List.iter
-      (fun policy ->
-        ignore (Repro_core.Runner.try_cell ctx ~workload ~policy ~ratio ~swap))
-      policies;
+    run_grid ctx ~swap
+      (grid [ workload ] (or_default default_policies policies) [ ratio ]);
     let n = Repro_core.Runner.write_heatmap ctx ~path:out in
     Printf.printf "wrote %d heatmap row(s) to %s\n" n out;
     (match gnuplot with
@@ -1111,15 +1072,11 @@ let chaos_cmd =
       | cs -> List.map String.lowercase_ascii cs
     in
     let workloads =
-      match workloads with
-      | [] -> [ Repro_core.Runner.Tpch; Repro_core.Runner.Ycsb Workload.Ycsb.A ]
-      | ws -> ws
+      or_default
+        [ Repro_core.Runner.Tpch; Repro_core.Runner.Ycsb Workload.Ycsb.A ]
+        workloads
     in
-    let policies =
-      match policies with
-      | [] -> [ Policy.Registry.Clock; Policy.Registry.Mglru_default ]
-      | ps -> ps
-    in
+    let policies = or_default default_policies policies in
     try
       Repro_core.Chaos_report.run setup.ctx ~classes ~workloads ~policies
         ~ratio ~swap;

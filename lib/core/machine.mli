@@ -10,8 +10,9 @@
     synchronous writeback stalls to the faulting thread, which is where
     the tail-latency differences between policies come from (§VI-A).
 
-    The machine also survives storage faults (see {!Swapdev.Faulty_device}):
-    transient errors are retried with backoff, permanent read errors
+    The machine also survives storage faults, injected by one
+    {!Swapdev.Faulty_device} that serves both the static [fault_plan]
+    and chaos [degrade] windows: transient errors are retried with backoff, permanent read errors
     poison the page (the thread continues on zero-fill), permanent write
     errors pin the page in memory, and when reclaim can no longer free
     anything an OOM killer terminates the fattest thread instead of
@@ -47,8 +48,10 @@ type config = {
   max_runtime_ns : int;      (** safety stop *)
   seed : int;
   fault_plan : Swapdev.Faulty_device.plan;
-      (** swap I/O fault injection; {!Swapdev.Faulty_device.none} keeps
-          runs bit-identical to a build without the fault layer *)
+      (** swap I/O fault injection, the knobs chaos [degrade] windows
+          return to when they close; {!Swapdev.Faulty_device.none} with
+          no degrade window installs no injector and keeps runs
+          bit-identical to a build without the fault layer *)
   io_max_retries : int;      (** per-op retry budget on transient errors *)
   io_retry_backoff_ns : int; (** base of the exponential retry backoff *)
   audit_every_ns : int;
@@ -126,7 +129,9 @@ type result = {
   resident_at_end : int;
   io_retries : int;          (** resubmissions after transient errors *)
   io_remaps : int;           (** writes moved off a bad slot *)
-  injected_transient : int;  (** faults the injector produced *)
+  injected_transient : int;
+      (** faults the injector produced, from the plan and from chaos
+          degrade windows alike *)
   injected_permanent : int;
   injected_stalls : int;
   injected_tail_spikes : int;
@@ -159,6 +164,13 @@ type result = {
       (** the region monitor's aggregation rows in tick order; [None]
           when [config.damon] was [None] *)
 }
+
+val injects :
+  fault_plan:Swapdev.Faulty_device.plan -> chaos:Chaos.spec option -> bool
+(** Whether {!run} wraps the swap device in an injector: the plan can
+    inject, or the chaos spec opens a degrade window.  The injector
+    draws from its own RNG derived from [seed], so installing it moves
+    no other random draw. *)
 
 val run :
   config ->

@@ -91,6 +91,31 @@ type shard = {
   tbl : (string, trial_outcome) Hashtbl.t;
 }
 
+(* Per-context mutable state: the private result cache and the
+   experiment log.  Every context — fresh or derived — gets its own. *)
+type store = {
+  cache : shard array;
+  (* Bookkeeping: every requested experiment, in first-request program
+     order.  Appended only from the dispatching domain (prefetch logs
+     its whole deduplicated todo list before any worker starts; direct
+     [run_exp] misses happen in the callers' serial read-back), so the
+     order — and hence the trace files and the end-of-run failure
+     summary — is identical for every [jobs] value. *)
+  logged : (string, unit) Hashtbl.t;
+  log : exp list ref;
+  log_lock : Mutex.t;
+}
+
+let fresh_store () =
+  {
+    cache =
+      Array.init cache_shards (fun _ ->
+          { lock = Mutex.create (); tbl = Hashtbl.create 32 });
+    logged = Hashtbl.create 64;
+    log = ref [];
+    log_lock = Mutex.create ();
+  }
+
 type ctx = {
   profile : profile;
   fault_plan : Swapdev.Faulty_device.plan;
@@ -104,16 +129,7 @@ type ctx = {
   chaos : Chaos.spec option;
   vmstat : bool;
   damon : Mem.Damon.config option;
-  cache : shard array;
-  (* Bookkeeping: every requested experiment, in first-request program
-     order.  Appended only from the dispatching domain (prefetch logs
-     its whole deduplicated todo list before any worker starts; direct
-     [run_exp] misses happen in the callers' serial read-back), so the
-     order — and hence the trace files and the end-of-run failure
-     summary — is identical for every [jobs] value. *)
-  logged : (string, unit) Hashtbl.t;
-  log : exp list ref;
-  log_lock : Mutex.t;
+  store : store;
 }
 
 let make_ctx ?profile ?(fault_plan = Swapdev.Faulty_device.none)
@@ -136,12 +152,7 @@ let make_ctx ?profile ?(fault_plan = Swapdev.Faulty_device.none)
     chaos;
     vmstat;
     damon;
-    cache =
-      Array.init cache_shards (fun _ ->
-          { lock = Mutex.create (); tbl = Hashtbl.create 32 });
-    logged = Hashtbl.create 64;
-    log = ref [];
-    log_lock = Mutex.create ();
+    store = fresh_store ();
   }
 
 let profile ctx = ctx.profile
@@ -166,71 +177,46 @@ let vmstat ctx = ctx.vmstat
 
 let damon ctx = ctx.damon
 
-(* A derived context with a cgroup spec installed.  The cache, log and
-   dedup tables are fresh: [cgroups] is ctx-level (like [fault_plan])
-   and deliberately not part of {!exp_key}, so sharing the parent's
-   cache would alias runs computed under different specs. *)
-let with_cgroups ctx spec =
-  {
-    ctx with
-    cgroups = Some spec;
-    cache =
-      Array.init cache_shards (fun _ ->
-          { lock = Mutex.create (); tbl = Hashtbl.create 32 });
-    logged = Hashtbl.create 64;
-    log = ref [];
-    log_lock = Mutex.create ();
-  }
+(* Derived contexts get a fresh store: [cgroups], [chaos] and [damon]
+   are ctx-level (like [fault_plan]) and deliberately not part of
+   {!exp_key}, so sharing the parent's cache would alias runs computed
+   under different settings. *)
+let with_cgroups ctx spec = { ctx with cgroups = Some spec; store = fresh_store () }
 
-(* Same derivation for chaos specs ([None] = strip any installed spec);
-   [?cgroups] lets a chaos class that needs a cgroup (limit churn)
-   install one in the same derived context. *)
+(* [None] strips any installed spec; [?cgroups] lets a chaos class that
+   needs a cgroup (limit churn) install one in the same derived
+   context. *)
 let with_chaos ?cgroups ?obs ctx chaos =
   {
     ctx with
     chaos;
     cgroups = (match cgroups with Some _ as c -> c | None -> ctx.cgroups);
     obs = (match obs with Some o -> o | None -> ctx.obs);
-    cache =
-      Array.init cache_shards (fun _ ->
-          { lock = Mutex.create (); tbl = Hashtbl.create 32 });
-    logged = Hashtbl.create 64;
-    log = ref [];
-    log_lock = Mutex.create ();
+    store = fresh_store ();
   }
 
-(* Same derivation for the DAMON region monitor: monitored results
-   carry heatmap captures, so they must never alias a cache populated
-   without the monitor (results are otherwise identical — the monitor
-   observes without perturbing — but the capture field differs). *)
-let with_damon ctx config =
-  {
-    ctx with
-    damon = Some config;
-    cache =
-      Array.init cache_shards (fun _ ->
-          { lock = Mutex.create (); tbl = Hashtbl.create 32 });
-    logged = Hashtbl.create 64;
-    log = ref [];
-    log_lock = Mutex.create ();
-  }
+(* Monitored results carry heatmap captures, so they must never alias a
+   cache populated without the monitor (results are otherwise identical
+   — the monitor observes without perturbing — but the capture field
+   differs). *)
+let with_damon ctx config = { ctx with damon = Some config; store = fresh_store () }
 
 let log_exp ctx e key =
-  Mutex.lock ctx.log_lock;
-  if not (Hashtbl.mem ctx.logged key) then begin
-    Hashtbl.add ctx.logged key ();
-    ctx.log := e :: !(ctx.log)
+  Mutex.lock ctx.store.log_lock;
+  if not (Hashtbl.mem ctx.store.logged key) then begin
+    Hashtbl.add ctx.store.logged key ();
+    ctx.store.log := e :: !(ctx.store.log)
   end;
-  Mutex.unlock ctx.log_lock
+  Mutex.unlock ctx.store.log_lock
 
 let traced_exps ctx =
-  Mutex.lock ctx.log_lock;
-  let l = List.rev !(ctx.log) in
-  Mutex.unlock ctx.log_lock;
+  Mutex.lock ctx.store.log_lock;
+  let l = List.rev !(ctx.store.log) in
+  Mutex.unlock ctx.store.log_lock;
   l
 
 let shard_of ctx key =
-  ctx.cache.(Hashtbl.hash key land (cache_shards - 1))
+  ctx.store.cache.(Hashtbl.hash key land (cache_shards - 1))
 
 let cache_find ctx key =
   let s = shard_of ctx key in
@@ -262,7 +248,7 @@ let cached_results ctx =
       let n = acc + Hashtbl.length s.tbl in
       Mutex.unlock s.lock;
       n)
-    0 ctx.cache
+    0 ctx.store.cache
 
 (* ------------------------------------------------------------------ *)
 

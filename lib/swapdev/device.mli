@@ -10,8 +10,9 @@
     from transient errors (a retry may succeed — link resets, ECC
     recoveries) and permanent ones (the block is gone — media wear,
     controller death).  The physical device models ({!Ssd}, {!Zram})
-    never fail; errors are injected by wrapping them in
-    {!Faulty_device}. *)
+    never fail; errors, stalls and latency stretches are injected by
+    wrapping them in {!Faulty_device}, the one injector for static
+    fault plans and chaos degrade windows alike. *)
 
 type op = Read | Write
 
