@@ -38,9 +38,9 @@ type hotplug = {
 type degrade = {
   d_at : int;
   d_for : int;
-  d_latency : float;  (* service-time multiplier, >= 1 *)
-  d_errors : float;   (* transient error probability *)
-  d_wear : float;     (* permanent error probability *)
+  d_latency : float option;  (* service-time multiplier, >= 1 *)
+  d_errors : float option;   (* transient error probability *)
+  d_wear : float option;     (* permanent error probability *)
 }
 
 type churn = {
@@ -277,22 +277,17 @@ let parse_segment (scol, seg) =
     let* at = parse_time ~what:"at" ~zero_ok:true acol av in
     let* fcol, fv = require ~cls scol fields "for" in
     let* dur = parse_time ~what:"for" ~zero_ok:false fcol fv in
-    let* latency =
-      match field fields "latency" with
-      | None -> Ok 1.0
-      | Some (lcol, lv) -> parse_mult lcol lv
+    (* An unnamed knob is [None] and keeps the fault plan's value; a
+       named 1x or 0 is kept and switches the knob off. *)
+    let knob key parse =
+      match field fields key with
+      | None -> Ok None
+      | Some (col, v) -> Result.map Option.some (parse col v)
     in
-    let* errors =
-      match field fields "errors" with
-      | None -> Ok 0.0
-      | Some (ecol, ev) -> parse_prob ~what:"errors" ecol ev
-    in
-    let* wear =
-      match field fields "wear" with
-      | None -> Ok 0.0
-      | Some (wcol, wv) -> parse_prob ~what:"wear" wcol wv
-    in
-    if latency = 1.0 && errors = 0.0 && wear = 0.0 then
+    let* latency = knob "latency" parse_mult in
+    let* errors = knob "errors" (parse_prob ~what:"errors") in
+    let* wear = knob "wear" (parse_prob ~what:"wear") in
+    if latency = None && errors = None && wear = None then
       err scol "degrade: needs at least one of latency=, errors=, wear="
     else
       Ok
@@ -449,10 +444,11 @@ let injector_to_string = function
   | Degrade d ->
     Printf.sprintf "degrade:at=%s,for=%s%s%s%s" (time_to_string d.d_at)
       (time_to_string d.d_for)
-      (if d.d_latency <> 1.0 then Printf.sprintf ",latency=%gx" d.d_latency
-       else "")
-      (if d.d_errors <> 0.0 then Printf.sprintf ",errors=%g" d.d_errors else "")
-      (if d.d_wear <> 0.0 then Printf.sprintf ",wear=%g" d.d_wear else "")
+      (match d.d_latency with
+       | Some l -> Printf.sprintf ",latency=%gx" l
+       | None -> "")
+      (match d.d_errors with Some e -> Printf.sprintf ",errors=%g" e | None -> "")
+      (match d.d_wear with Some w -> Printf.sprintf ",wear=%g" w | None -> "")
   | Churn c ->
     let opt k = function
       | None -> ""
@@ -485,7 +481,11 @@ let spec_to_string spec =
 type action =
   | Offline of int
   | Online of int
-  | Degrade_set of { latency : float; errors : float; wear : float }
+  | Degrade_set of {
+      latency : float option;
+      errors : float option;
+      wear : float option;
+    }
   | Degrade_clear
   | Set_limits of {
       cg : string;
@@ -570,7 +570,9 @@ let action_label = function
   | Offline n -> Printf.sprintf "offline %d frames" n
   | Online n -> Printf.sprintf "online %d frames" n
   | Degrade_set { latency; errors; wear } ->
-    Printf.sprintf "degrade latency=%gx errors=%g wear=%g" latency errors wear
+    let v = Option.value in
+    Printf.sprintf "degrade latency=%gx errors=%g wear=%g"
+      (v latency ~default:1.0) (v errors ~default:0.0) (v wear ~default:0.0)
   | Degrade_clear -> "degrade end"
   | Set_limits { cg; low; high; max_limit } ->
     let p k = function None -> "" | Some v -> Printf.sprintf " %s=%d" k v in

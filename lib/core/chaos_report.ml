@@ -53,9 +53,9 @@ let spec_for ~klass ~w_start ~w_end : Chaos.spec =
             {
               d_at = w_start;
               d_for = w_end - w_start;
-              d_latency = 8.0;
-              d_errors = 0.02;
-              d_wear = 0.0;
+              d_latency = Some 8.0;
+              d_errors = Some 0.02;
+              d_wear = None;
             };
         ];
     }

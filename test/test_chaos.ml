@@ -40,11 +40,13 @@ let gen_injector ~last i =
     return (C.Hotplug { h_at = at; h_shrink = shrink; h_restore = restore })
   in
   let gen_degrade =
-    (* At least one knob must be non-neutral or the rendering drops
-       every field and the parser rejects it. *)
-    let* lat = oneof [ return 1.0; map float_of_int (2 -- 16) ] in
-    let* errs = if lat = 1.0 then gen_prob else oneof [ return 0.0; gen_prob ] in
-    let* wear = oneof [ return 0.0; gen_prob ] in
+    (* At least one knob must be named or the parser rejects the
+       segment.  Named neutral values (1x, 0) are knobs too. *)
+    let knob g = oneof [ return None; map Option.some g ] in
+    let* lat = knob (map float_of_int (1 -- 16)) in
+    let prob = oneof [ return 0.0; gen_prob ] in
+    let* errs = if lat = None then map Option.some prob else knob prob in
+    let* wear = knob prob in
     return
       (C.Degrade
          { d_at = at; d_for = dur; d_latency = lat; d_errors = errs; d_wear = wear })
@@ -141,6 +143,19 @@ let test_accepts_disjoint_bursts () =
   (* Same class, overlapping windows, but disjoint thread sets: legal. *)
   match C.parse_spec "burst:at=1ms,for=10ms,threads=0-1;burst:at=5ms,for=2ms,threads=2-3" with
   | Ok s -> Alcotest.(check int) "two injectors" 2 (List.length s.C.injectors)
+  | Error e -> Alcotest.failf "rejected: %s" e
+
+let test_named_neutral_knobs () =
+  (* A named 1x or 0 is a knob setting (it switches a fault plan's knob
+     off for the window), not an absent field. *)
+  let spec = "degrade:at=1ms,for=2ms,latency=1x,errors=0" in
+  match C.parse_spec spec with
+  | Ok ({ C.injectors = [ C.Degrade d ] } as s) ->
+    Alcotest.(check (option (float 0.0))) "latency named" (Some 1.0) d.C.d_latency;
+    Alcotest.(check (option (float 0.0))) "errors named" (Some 0.0) d.C.d_errors;
+    Alcotest.(check (option (float 0.0))) "wear unnamed" None d.C.d_wear;
+    Alcotest.(check string) "rendered" spec (C.spec_to_string s)
+  | Ok s -> Alcotest.failf "parsed as %S" (C.spec_to_string s)
   | Error e -> Alcotest.failf "rejected: %s" e
 
 (* ------------------------------------------------------------------ *)
@@ -287,7 +302,8 @@ let test_machine_degrade () =
   let spec =
     { C.injectors =
         [ C.Degrade
-            { d_at = at; d_for = dur; d_latency = 4.0; d_errors = 0.0; d_wear = 0.0 } ] }
+            { d_at = at; d_for = dur; d_latency = Some 4.0; d_errors = None;
+              d_wear = None } ] }
   in
   let r = run_cfg (base_cfg ~chaos:spec ()) in
   let s = summary_of r in
@@ -454,6 +470,8 @@ let () =
         :: QCheck_alcotest.to_alcotest qcheck_canonical
         :: Alcotest.test_case "disjoint bursts accepted" `Quick
              test_accepts_disjoint_bursts
+        :: Alcotest.test_case "named neutral degrade knobs kept" `Quick
+             test_named_neutral_knobs
         :: List.map
              (fun (spec, want) ->
                Alcotest.test_case
