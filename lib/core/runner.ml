@@ -683,48 +683,56 @@ let cell_fields e =
     ("trial", Obs.Int e.trial);
   ]
 
+(* Every line-oriented writer streams through one [Obs.Out] buffer into
+   the atomic temp file. *)
+module Out = Obs.Out
+
+let write_lines ~path f =
+  Atomic_io.replace ~path (fun oc -> Out.with_channel oc f)
+
 let write_trace ctx ~path =
-  Atomic_io.replace ~path (fun oc ->
-      let written = ref 0 in
-      List.iter
-        (fun (e, cap) ->
-          let cell = cell_fields e in
+  write_lines ~path (fun out ->
+      List.fold_left
+        (fun written (e, cap) ->
+          let prefix = Obs.cell_prefix (cell_fields e) in
           Array.iter
-            (fun (t_ns, ev) ->
-              output_string oc (Obs.jsonl_line ~cell ~t_ns ev);
-              output_char oc '\n';
-              incr written)
-            cap.Obs.events)
-        (captured ctx);
-      !written)
+            (fun (t_ns, ev) -> Obs.write_jsonl out prefix ~t_ns ev)
+            cap.Obs.events;
+          written + Array.length cap.Obs.events)
+        0 (captured ctx))
+
+(* The CSV writers' leading columns: workload,policy,ratio,swap,trial, *)
+let csv_prefix e =
+  Printf.sprintf "%s,%s,%.9g,%s,%d,"
+    (workload_kind_name e.workload)
+    (Policy.Registry.name e.policy)
+    e.ratio (swap_name e.swap) e.trial
 
 let sample_csv_header = "workload,policy,ratio,swap,trial,t_ns,metric,value"
 
 let write_samples ctx ~path =
-  Atomic_io.replace ~path (fun oc ->
-      let written = ref 0 in
-      output_string oc sample_csv_header;
-      output_char oc '\n';
-      List.iter
-        (fun (e, cap) ->
-          let prefix =
-            Printf.sprintf "%s,%s,%.9g,%s,%d,"
-              (workload_kind_name e.workload)
-              (Policy.Registry.name e.policy)
-              e.ratio (swap_name e.swap) e.trial
+  write_lines ~path (fun out ->
+      Out.string out sample_csv_header;
+      Out.end_line out;
+      List.fold_left
+        (fun written (e, cap) ->
+          let prefix = csv_prefix e in
+          let rec rows t_ns n = function
+            | [] -> n
+            | (metric, v) :: rest ->
+              Out.string out prefix;
+              Out.int out t_ns;
+              Out.char out ',';
+              Out.string out metric;
+              Out.char out ',';
+              Out.float_g out v;
+              Out.end_line out;
+              rows t_ns (n + 1) rest
           in
-          Array.iter
-            (fun (t_ns, metrics) ->
-              List.iter
-                (fun (metric, v) ->
-                  output_string oc prefix;
-                  output_string oc
-                    (Printf.sprintf "%d,%s,%.9g\n" t_ns metric v);
-                  incr written)
-                metrics)
-            cap.Obs.samples)
-        (captured ctx);
-      !written)
+          Array.fold_left
+            (fun n (t_ns, metrics) -> rows t_ns n metrics)
+            written cap.Obs.samples)
+        0 (captured ctx))
 
 let merged_reclaim_hists ctx =
   let order = ref [] in
@@ -783,7 +791,7 @@ let cell_label e =
 (* Folded-stack lines (flamegraph.pl / speedscope input):
    cell;class;phase;...;leaf <self ns>, merged over a cell's trials. *)
 let write_folded ctx ~path =
-  Atomic_io.replace ~path (fun oc ->
+  write_lines ~path (fun out ->
       let written = ref 0 in
       List.iter
         (fun (cell, m) ->
@@ -791,13 +799,17 @@ let write_folded ctx ~path =
           Array.iter
             (fun (cls, code, ns) ->
               if ns > 0 then begin
-                let frames =
-                  List.map Obs.Prof.phase_name (Obs.Prof.path_phases code)
-                in
-                output_string oc
-                  (String.concat ";"
-                     (label :: m.Obs.Prof.m_classes.(cls) :: frames));
-                output_string oc (Printf.sprintf " %d\n" ns);
+                Out.string out label;
+                Out.char out ';';
+                Out.string out m.Obs.Prof.m_classes.(cls);
+                List.iter
+                  (fun p ->
+                    Out.char out ';';
+                    Out.string out (Obs.Prof.phase_name p))
+                  (Obs.Prof.path_phases code);
+                Out.char out ' ';
+                Out.int out ns;
+                Out.end_line out;
                 incr written
               end)
             m.Obs.Prof.m_totals)
@@ -840,27 +852,28 @@ let heatmap_csv_header =
   "workload,policy,ratio,swap,trial,t_ns,asid,start_vpn,pages,accessed"
 
 let write_heatmap ctx ~path =
-  Atomic_io.replace ~path (fun oc ->
+  write_lines ~path (fun out ->
       let written = ref 0 in
-      output_string oc heatmap_csv_header;
-      output_char oc '\n';
+      Out.string out heatmap_csv_header;
+      Out.end_line out;
       List.iter
         (fun e ->
           match cache_find ctx (exp_key e) with
           | Some (Done { Machine.heatmap = Some cap; _ }) ->
-            let prefix =
-              Printf.sprintf "%s,%s,%.9g,%s,%d,"
-                (workload_kind_name e.workload)
-                (Policy.Registry.name e.policy)
-                e.ratio (swap_name e.swap) e.trial
+            let prefix = csv_prefix e in
+            let col n =
+              Out.char out ',';
+              Out.int out n
             in
             Array.iter
               (fun (row : Mem.Damon.row) ->
-                output_string oc prefix;
-                output_string oc
-                  (Printf.sprintf "%d,%d,%d,%d,%d\n" row.Mem.Damon.w_t_ns
-                     row.Mem.Damon.w_asid row.Mem.Damon.w_start
-                     row.Mem.Damon.w_pages row.Mem.Damon.w_accessed);
+                Out.string out prefix;
+                Out.int out row.Mem.Damon.w_t_ns;
+                col row.Mem.Damon.w_asid;
+                col row.Mem.Damon.w_start;
+                col row.Mem.Damon.w_pages;
+                col row.Mem.Damon.w_accessed;
+                Out.end_line out;
                 incr written)
               cap.Mem.Damon.rows
           | _ -> ())

@@ -50,6 +50,12 @@ let test_sampling_only_config () =
 (* JSONL round-trip                                                    *)
 (* ------------------------------------------------------------------ *)
 
+let adversarial_strings =
+  [
+    "\\u0041"; "\\"; "\\\\"; "\"\""; "\n\r\t"; "\x00\x01\x1f";
+    "trailing backslash \\"; "\\u00"; "a\"b\\c\nd"; String.make 3 '\x07';
+  ]
+
 let all_events =
   [
     O.Evict { vpn = 17; dirty = false };
@@ -62,7 +68,22 @@ let all_events =
     O.Swap_write
       { slot = -1; latency_ns = 10; retries = 3; failed = true; remapped = true };
     O.Oom_kill { tid = 2; discarded = 511 };
+    O.Workingset_refault
+      { vpn = 8; distance = -1; shadow = true; activated = false; restored = true };
   ]
+  @ List.concat_map
+      (fun s ->
+        [
+          O.Throttle { tid = 1; cg = s; usage = 300; high = 256; stall_ns = 7 };
+          O.Cgroup_reclaim
+            { cg = s; want = 32; freed = 0; scanned = 64; latency_ns = 5 };
+          O.Cgroup_oom { cg = s; tid = 3; discarded = 12 };
+          O.Psi
+            { cg = s; some_ns = 10; full_ns = 4; window_ns = 1_000; limit = -1 };
+          O.Chaos { injector = s; action = s ^ "!"; arg = max_int };
+        ])
+      (* plain names take the no-escape path, the rest the escaper *)
+      ("hot" :: "degrade" :: adversarial_strings)
 
 let cell =
   [
@@ -73,10 +94,23 @@ let cell =
     ("trial", O.Int 0);
   ]
 
+let test_all_kinds_covered () =
+  Alcotest.(check int) "distinct kinds" 14
+    (List.length (List.sort_uniq compare (List.map O.kind_name all_events)))
+
 let test_jsonl_round_trip () =
+  let prefix = O.cell_prefix cell in
   List.iteri
     (fun i ev ->
       let line = O.jsonl_line ~cell ~t_ns:(1000 + i) ev in
+      (* The streaming writer emits the same bytes plus exactly one
+         newline, and no other. *)
+      let out = O.Out.create () in
+      O.write_jsonl out prefix ~t_ns:(1000 + i) ev;
+      let written = O.Out.contents out in
+      Alcotest.(check string) "writer = jsonl_line ^ newline" (line ^ "\n") written;
+      Alcotest.(check int) "one newline" 1
+        (String.fold_left (fun n c -> if c = '\n' then n + 1 else n) 0 written);
       match O.parse_line line with
       | Error msg -> Alcotest.failf "parse %S: %s" line msg
       | Ok fields ->
@@ -151,12 +185,6 @@ let qcheck_string_escape_round_trip =
       | Ok fields -> O.field_string fields "k" = Some s
       | Error _ -> false)
 
-let adversarial_strings =
-  [
-    "\\u0041"; "\\"; "\\\\"; "\"\""; "\n\r\t"; "\x00\x01\x1f";
-    "trailing backslash \\"; "\\u00"; "a\"b\\c\nd"; String.make 3 '\x07';
-  ]
-
 let test_adversarial_escapes_round_trip () =
   List.iter
     (fun s ->
@@ -169,6 +197,25 @@ let test_adversarial_escapes_round_trip () =
         Alcotest.(check (option int)) "trailing field intact" (Some 1)
           (O.field_int fields "n"))
     adversarial_strings
+
+let test_out_numbers () =
+  let render f x =
+    let out = O.Out.create () in
+    f out x;
+    O.Out.contents out
+  in
+  List.iter
+    (fun i ->
+      Alcotest.(check string) "int = string_of_int" (string_of_int i)
+        (render O.Out.int i))
+    [ 0; 7; 9; 10; 99; 100; 123456789; -1; -10; -987654321; max_int; min_int ];
+  List.iter
+    (fun f ->
+      Alcotest.(check string) "float_g = %.9g" (Printf.sprintf "%.9g" f)
+        (render O.Out.float_g f))
+    [ 0.; -0.; 7.; -5.; 999_999_999.; -999_999_999.; 1e9; -1e9; 4096.;
+      0.5; 1. /. 3.; 1e-300; 6.02e23; 123456789.5; -2.5; Float.nan;
+      Float.infinity; Float.neg_infinity; Float.max_float; Float.min_float ]
 
 (* ------------------------------------------------------------------ *)
 (* Machine-level behaviour                                             *)
@@ -376,6 +423,49 @@ let test_parallel_trace_deterministic () =
   Alcotest.(check bool) "trace byte-identical" true (String.equal t1 t4);
   Alcotest.(check bool) "samples byte-identical" true (String.equal s1 s4)
 
+(* One fixed small telemetry run with every file-backed channel on; the
+   MD5 of each writer's output is pinned in golden/telemetry.md5
+   ("<md5>  <file>" lines, md5sum style), recorded from the writers
+   that built each line with Printf, before the streaming emitter
+   replaced them. *)
+let golden_telemetry_files () =
+  let ctx =
+    R.make_ctx ~profile:fast_profile
+      ~obs:{ O.trace = true; sample_every_ns = 1_000_000 }
+      ~prof:{ O.Prof.enabled = true; spans = false }
+      ~vmstat:true ~damon:Mem.Damon.default_config ()
+  in
+  R.prefetch ctx [ { tpch_exp with R.swap = R.Zram } ];
+  let dir = Filename.temp_file "obs_golden" "" in
+  Sys.remove dir;
+  List.map
+    (fun (name, write) ->
+      let path = dir ^ "." ^ name in
+      let n = write ctx ~path in
+      let digest = Digest.to_hex (Digest.file path) in
+      Sys.remove path;
+      (name, n, digest))
+    [
+      ("trace.jsonl", R.write_trace); ("samples.csv", R.write_samples);
+      ("heatmap.csv", R.write_heatmap); ("profile.folded", R.write_folded);
+    ]
+
+let read_golden_md5s path =
+  String.split_on_char '\n' (read_file path)
+  |> List.filter_map (fun line ->
+         match String.split_on_char ' ' line with
+         | [ md5; ""; name ] -> Some (name, md5)
+         | _ -> None)
+
+let test_golden_telemetry () =
+  let want = read_golden_md5s "golden/telemetry.md5" in
+  List.iter
+    (fun (name, n, digest) ->
+      Alcotest.(check bool) (name ^ " not empty") true (n > 0);
+      Alcotest.(check (option string))
+        (name ^ " md5") (List.assoc_opt name want) (Some digest))
+    (golden_telemetry_files ())
+
 let test_merged_reclaim_hists () =
   let ctx =
     R.make_ctx ~profile:{ R.trials = 2; ycsb_trials = 1; fast = true; scale = 1 }
@@ -414,12 +504,14 @@ let () =
         ] );
       ( "jsonl",
         [
+          Alcotest.test_case "all kinds covered" `Quick test_all_kinds_covered;
           Alcotest.test_case "round trip" `Quick test_jsonl_round_trip;
           Alcotest.test_case "string escapes" `Quick test_jsonl_string_escapes;
           Alcotest.test_case "rejects malformed" `Quick test_parse_rejects_malformed;
           QCheck_alcotest.to_alcotest qcheck_string_escape_round_trip;
           Alcotest.test_case "adversarial escapes" `Quick
             test_adversarial_escapes_round_trip;
+          Alcotest.test_case "number formatting" `Quick test_out_numbers;
         ] );
       ( "machine",
         [
@@ -434,6 +526,7 @@ let () =
         [
           Alcotest.test_case "parallel determinism" `Quick
             test_parallel_trace_deterministic;
+          Alcotest.test_case "golden telemetry files" `Quick test_golden_telemetry;
           Alcotest.test_case "merged histograms" `Quick test_merged_reclaim_hists;
         ] );
     ]

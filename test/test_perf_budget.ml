@@ -83,6 +83,46 @@ let budgets =
     (Policy.Registry.Perceptron, 3600.);
   ]
 
+(* Allocation budget for the trace writer: minor words per event that
+   Runner.write_trace streams out, over one small traced cell (TPC-H
+   under MG-LRU, --fast, one trial).  Lines go through one reused
+   buffer with nothing built per line, so what remains is per-capture
+   and per-file setup (~0.004 words/event measured, ~88 k events); the
+   ceiling is ~3x that. *)
+let trace_writer_budget = 0.012
+
+let check_trace_writer () =
+  let module R = Repro_core.Runner in
+  let ctx =
+    R.make_ctx
+      ~profile:{ R.trials = 1; ycsb_trials = 1; fast = true; scale = 1 }
+      ~obs:{ Obs.trace = true; sample_every_ns = 0 }
+      ()
+  in
+  R.prefetch ctx
+    [
+      {
+        R.workload = R.Tpch;
+        policy = Policy.Registry.Mglru_default;
+        ratio = 0.5;
+        swap = R.Ssd;
+        trial = 0;
+      };
+    ];
+  let path = Filename.temp_file "perf_budget" ".jsonl" in
+  let mw0 = Gc.minor_words () in
+  let events = R.write_trace ctx ~path in
+  let mw1 = Gc.minor_words () in
+  Sys.remove path;
+  Alcotest.(check bool) "events written" true (events > 10_000);
+  let words = (mw1 -. mw0) /. float_of_int events in
+  if Sys.getenv_opt "PERF_BUDGET_VERBOSE" <> None then
+    Printf.eprintf "write_trace  %8.4f words/event over %d events (budget %g)\n%!"
+      words events trace_writer_budget;
+  if words >= trace_writer_budget then
+    Alcotest.failf "write_trace allocates %.4f words/event (budget %g)" words
+      trace_writer_budget
+
 let () =
   Alcotest.run "perf_budget"
     [
@@ -92,4 +132,6 @@ let () =
             Alcotest.test_case (Policy.Registry.name spec) `Quick
               (check_budget (spec, ceiling)))
           budgets );
+      ( "allocs-per-trace-event",
+        [ Alcotest.test_case "write_trace" `Quick check_trace_writer ] );
     ]
