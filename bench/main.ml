@@ -400,6 +400,26 @@ let cell_json c =
     c.ec_name c.ec_pages c.ec_ratio c.ec_wall_s c.ec_sim_ns c.ec_major
     c.ec_minor c.ec_allocs_per_fault (sim_ns_per_wall_ms c)
 
+(* The machine the numbers were taken on: wall-clock figures are only
+   comparable between runs on the same host. *)
+let cpu_model () =
+  let model line =
+    match String.split_on_char ':' line with
+    | key :: rest when String.trim key = "model name" ->
+      Some (String.trim (String.concat ":" rest))
+    | _ -> None
+  in
+  match In_channel.with_open_text "/proc/cpuinfo" In_channel.input_all with
+  | exception Sys_error _ -> "unknown"
+  | text ->
+    Option.value ~default:"unknown"
+      (List.find_map model (String.split_on_char '\n' text))
+
+let host_json () =
+  Printf.sprintf "{ \"cpus\": %d, \"cpu_model\": %S, \"ocaml\": \"%s\" }"
+    (Domain.recommended_domain_count ())
+    (cpu_model ()) Sys.ocaml_version
+
 let run_engine_harness () =
   print_endline "=== Engine wall-clock harness ===";
   let events_per_sec = event_loop_throughput () in
@@ -459,6 +479,7 @@ let run_engine_harness () =
     "  \"units\": { \"events_per_sec\": \"raw event-loop pops/sec\", \
      \"sim_ns_per_wall_ms\": \"simulated ns per wall-clock ms\", \
      \"allocs_per_fault\": \"minor words per fault\" },\n";
+  Printf.fprintf oc "  \"host\": %s,\n" (host_json ());
   Printf.fprintf oc "  \"events_per_sec\": %.0f,\n" events_per_sec;
   Printf.fprintf oc "  \"sim_ns_per_wall_ms\": %.1f,\n"
     (sim_ns_per_wall_ms headline);

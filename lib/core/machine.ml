@@ -214,6 +214,21 @@ type t = {
   chaos_stall_until : int array; (* tid -> burst-stalled until this time *)
   mutable chaos_offlined : int list; (* offlined pfns, most recent first *)
   mutable chaos_last : string; (* last applied injection, for audit context *)
+  (* Per-thread segment state: the chunk in flight, the index of its
+     next segment and the time the chunk started.  [process_segment]
+     reads it here, so its continuations are built once per thread
+     (like a kthread's driver) rather than once per segment. *)
+  seg_chunk : Workload.Chunk.t array;
+  seg_next : int array;
+  seg_start : int array;
+  seg_done : (Engine.Sim.t -> unit) array;   (* tid -> segment done *)
+  seg_resume : (Engine.Sim.t -> unit) array; (* tid -> chaos stall over *)
+  cpu_run_end : Engine.Sim.t -> unit;
+  (* The faulting thread's time cursor and CPU charge for the segment
+     being processed.  [process_segment] never re-enters (every restart
+     goes through the event queue), so one pair serves all threads. *)
+  mutable cursor : int;
+  mutable cpu_acc : int;
 }
 
 let ra_zone_pages = 512
@@ -531,7 +546,7 @@ let oom_kill ?cg t =
    free memory, degrade through the OOM killer rather than aborting the
    trial; [None] means the faulting thread itself was chosen and its
    fault must unwind. *)
-let alloc_frame t ~tid ~(cursor : int ref) =
+let alloc_frame t ~tid =
   let pfn = Mem.Phys_mem.alloc_pfn t.mem in
   if pfn >= 0 then begin
     if Mem.Phys_mem.below_low t.mem then wake_kthreads t;
@@ -550,30 +565,30 @@ let alloc_frame t ~tid ~(cursor : int ref) =
       else begin
         t.direct_reclaims <- t.direct_reclaims + 1;
         t.in_direct <- true;
-        t.reclaim_now <- !cursor;
-        t.direct_stall_until <- !cursor;
+        t.reclaim_now <- t.cursor;
+        t.direct_stall_until <- t.cursor;
         t.direct_cpu_extra <- 0;
         (* Scope the episode: attribution accrued inside it is consumed
            by its own aggregate charge below, not by the segment-end
            flush (and vice versa). *)
         let saved_pending = Prof.suspend_pending t.prof in
-        Prof.begin_phase t.prof ~now:!cursor Prof.Evict_scan;
+        Prof.begin_phase t.prof ~now:t.cursor Prof.Evict_scan;
         if t.mcg <> None then t.mcg_breach_low <- t.mcg_unproductive >= 2;
         let stats = P.direct_reclaim p ~want:t.cfg.direct_reclaim_batch in
         t.in_direct <- false;
         let cpu = stats.Policy.Policy_intf.cpu_ns + t.direct_cpu_extra in
         Engine.Cpu.charge t.cpu cpu;
         Prof.resume_pending t.prof saved_pending;
-        let before = !cursor in
+        let before = t.cursor in
         let cpu_wall = Engine.Cpu.scale t.cpu cpu in
-        cursor := max (!cursor + cpu_wall) t.direct_stall_until;
+        t.cursor <- max (t.cursor + cpu_wall) t.direct_stall_until;
         Prof.end_phase t.prof ~now:(before + cpu_wall);
-        Prof.wait t.prof ~tid ~now:!cursor Prof.Writeback_wait
-          (!cursor - before - cpu_wall);
+        Prof.wait t.prof ~tid ~now:t.cursor Prof.Writeback_wait
+          (t.cursor - before - cpu_wall);
         (* The whole direct-reclaim episode is a memory stall, like the
            kernel's psi_memstall_enter around try_to_free_pages. *)
-        mcg_stall t ~tid ~t0:before ~t1:!cursor;
-        t.direct_reclaim_ns <- t.direct_reclaim_ns + (!cursor - before);
+        mcg_stall t ~tid ~t0:before ~t1:t.cursor;
+        t.direct_reclaim_ns <- t.direct_reclaim_ns + (t.cursor - before);
         if Obs.enabled t.obs then
           Obs.emit t.obs ~t_ns:before
             (Obs.Reclaim
@@ -581,7 +596,7 @@ let alloc_frame t ~tid ~(cursor : int ref) =
                  want = t.cfg.direct_reclaim_batch;
                  freed = stats.Policy.Policy_intf.freed;
                  scanned = stats.Policy.Policy_intf.scanned;
-                 latency_ns = !cursor - before;
+                 latency_ns = t.cursor - before;
                });
         wake_kthreads t;
         if t.mcg <> None then
@@ -603,30 +618,30 @@ let alloc_frame t ~tid ~(cursor : int ref) =
    [cg] through [mcg_target] and reported as a [Cgroup_reclaim] trace
    event (so untargeted Reclaim telemetry stays comparable across
    configurations).  Returns the pages freed. *)
-let memcg_direct_reclaim t ~tid ~cg ~want ~(cursor : int ref) =
+let memcg_direct_reclaim t ~tid ~cg ~want =
   let (Policy.Policy_intf.Packed ((module P), p)) = policy_of t in
   t.direct_reclaims <- t.direct_reclaims + 1;
   t.mcg_target <- Some cg;
   t.in_direct <- true;
-  t.reclaim_now <- !cursor;
-  t.direct_stall_until <- !cursor;
+  t.reclaim_now <- t.cursor;
+  t.direct_stall_until <- t.cursor;
   t.direct_cpu_extra <- 0;
   let saved_pending = Prof.suspend_pending t.prof in
-  Prof.begin_phase t.prof ~now:!cursor Prof.Evict_scan;
+  Prof.begin_phase t.prof ~now:t.cursor Prof.Evict_scan;
   let stats = P.direct_reclaim p ~want in
   t.in_direct <- false;
   t.mcg_target <- None;
   let cpu = stats.Policy.Policy_intf.cpu_ns + t.direct_cpu_extra in
   Engine.Cpu.charge t.cpu cpu;
   Prof.resume_pending t.prof saved_pending;
-  let before = !cursor in
+  let before = t.cursor in
   let cpu_wall = Engine.Cpu.scale t.cpu cpu in
-  cursor := max (!cursor + cpu_wall) t.direct_stall_until;
+  t.cursor <- max (t.cursor + cpu_wall) t.direct_stall_until;
   Prof.end_phase t.prof ~now:(before + cpu_wall);
-  Prof.wait t.prof ~tid ~now:!cursor Prof.Writeback_wait
-    (!cursor - before - cpu_wall);
-  mcg_stall t ~tid ~t0:before ~t1:!cursor;
-  t.direct_reclaim_ns <- t.direct_reclaim_ns + (!cursor - before);
+  Prof.wait t.prof ~tid ~now:t.cursor Prof.Writeback_wait
+    (t.cursor - before - cpu_wall);
+  mcg_stall t ~tid ~t0:before ~t1:t.cursor;
+  t.direct_reclaim_ns <- t.direct_reclaim_ns + (t.cursor - before);
   (match t.mcg with
   | Some mg ->
     Obs.emit t.obs ~t_ns:before
@@ -636,7 +651,7 @@ let memcg_direct_reclaim t ~tid ~cg ~want ~(cursor : int ref) =
            want;
            freed = stats.Policy.Policy_intf.freed;
            scanned = stats.Policy.Policy_intf.scanned;
-           latency_ns = !cursor - before;
+           latency_ns = t.cursor - before;
          })
   | None -> ());
   wake_kthreads t;
@@ -648,7 +663,7 @@ let memcg_direct_reclaim t ~tid ~cg ~want ~(cursor : int ref) =
    writes back), degrade through a *scoped* OOM kill and re-check.  The
    machine-wide killer in the allocation slow path is this same
    mechanism with [cg = None] — the root-cgroup degenerate case. *)
-let memcg_enforce_max t ~tid ~(cursor : int ref) =
+let memcg_enforce_max t ~tid =
   match t.mcg with
   | None -> ()
   | Some mg ->
@@ -665,7 +680,7 @@ let memcg_enforce_max t ~tid ~(cursor : int ref) =
             Mem.Memcg.max_overage mg cg ~extra:1 + t.cfg.direct_reclaim_batch
           in
           let usage_before = Mem.Memcg.usage mg cg in
-          ignore (memcg_direct_reclaim t ~tid ~cg ~want ~cursor);
+          ignore (memcg_direct_reclaim t ~tid ~cg ~want);
           (* Progress is measured in usage, not the policy's freed count:
              a writeback that fails permanently pins the page and frees
              nothing even though the policy counted it. *)
@@ -681,7 +696,7 @@ let memcg_enforce_max t ~tid ~(cursor : int ref) =
    first one bounded targeted-reclaim attempt, then an exponentially
    growing stall (PR-1's transient-I/O backoff curve, in simulated
    time) for as long as the group stays over. *)
-let memcg_after_charge t ~tid ~(cursor : int ref) =
+let memcg_after_charge t ~tid =
   match t.mcg with
   | None -> ()
   | Some mg ->
@@ -691,14 +706,14 @@ let memcg_after_charge t ~tid ~(cursor : int ref) =
         min (Mem.Memcg.high_overage mg cg) t.cfg.direct_reclaim_batch
       in
       if want > 0 then
-        ignore (memcg_direct_reclaim t ~tid ~cg ~want ~cursor)
+        ignore (memcg_direct_reclaim t ~tid ~cg ~want)
     end;
     let d = Mem.Memcg.throttle_ns mg ~tid ~base_ns:t.cfg.io_retry_backoff_ns in
     if d > 0 then begin
-      let t0 = !cursor in
-      cursor := !cursor + d;
-      Mem.Memcg.stall mg ~tid ~t0 ~t1:!cursor;
-      Prof.wait t.prof ~tid ~now:!cursor Prof.Writeback_wait d;
+      let t0 = t.cursor in
+      t.cursor <- t.cursor + d;
+      Mem.Memcg.stall mg ~tid ~t0 ~t1:t.cursor;
+      Prof.wait t.prof ~tid ~now:t.cursor Prof.Writeback_wait d;
       Obs.emit t.obs ~t_ns:t0
         (Obs.Throttle
            {
@@ -786,7 +801,7 @@ let note_refault t ~tid ~vpn ~now =
 (* Opportunistic swap-in of the sequential neighbours of a demand fault,
    like the kernel's swap readahead cluster.  Only when memory is easy:
    readahead must never trigger reclaim. *)
-let readahead t ~tid ~(cursor : int ref) vpn =
+let readahead t ~tid vpn =
   let n = min t.cfg.readahead t.ra_window.(ra_zone vpn) in
   if n > 1 && Mem.Phys_mem.free_count t.mem > n + Mem.Phys_mem.low_watermark t.mem
   then begin
@@ -800,7 +815,7 @@ let readahead t ~tid ~(cursor : int ref) vpn =
           if pfn < 0 then stop := true
           else begin
             let slot = Mem.Pte.swap_slot pte in
-            Swapdev.Swap_manager.swap_in_slot t.swap ~now:!cursor ~slot;
+            Swapdev.Swap_manager.swap_in_slot t.swap ~now:t.cursor ~slot;
             (* Tagged: this I/O submit cost is charged here and nowhere
                else, so it must not consume pending attribution. *)
             Engine.Cpu.charge_tagged t.cpu
@@ -814,7 +829,7 @@ let readahead t ~tid ~(cursor : int ref) vpn =
               stop := true
             end
             else begin
-              note_refault t ~tid ~vpn:v ~now:!cursor;
+              note_refault t ~tid ~vpn:v ~now:t.cursor;
               mcg_vm t ~tid Mem.Memcg.st_pswpin;
               t.retained_slot.(v) <- slot;
               t.ra_pending.(v) <- true;
@@ -826,17 +841,17 @@ let readahead t ~tid ~(cursor : int ref) vpn =
     done
   end
 
-let handle_fault t ~tid ~(cursor : int ref) ~(cpu_acc : int ref) ~vpn ~write =
-  Prof.begin_phase t.prof ~now:!cursor Prof.Fault_handling;
+let handle_fault t ~tid ~vpn ~write =
+  Prof.begin_phase t.prof ~now:t.cursor Prof.Fault_handling;
   Obs.Vmstat.incr t.vm Obs.Vmstat.pgfault;
   mcg_vm t ~tid Mem.Memcg.st_pgfault;
-  cpu_acc := !cpu_acc + t.cfg.costs.Mem.Costs.fault_trap_ns;
+  t.cpu_acc <- t.cpu_acc + t.cfg.costs.Mem.Costs.fault_trap_ns;
   (* The hard cap is enforced before the machine even looks for a free
      frame: a cgroup at memory.max must make room inside itself (or
      sacrifice one of its own) no matter how much global memory is
      free.  May kill [tid]. *)
-  memcg_enforce_max t ~tid ~cursor;
-  let pfn = if t.killed.(tid) then -1 else alloc_frame t ~tid ~cursor in
+  memcg_enforce_max t ~tid;
+  let pfn = if t.killed.(tid) then -1 else alloc_frame t ~tid in
   (* pfn < 0: the faulting thread lost the OOM lottery *)
   if pfn >= 0 then begin
     (* Attribute the trap cost after the allocation so the pending
@@ -849,18 +864,18 @@ let handle_fault t ~tid ~(cursor : int ref) ~(cpu_acc : int ref) ~vpn ~write =
       t.major_faults <- t.major_faults + 1;
       Obs.Vmstat.incr t.vm Obs.Vmstat.pgmajfault;
       mcg_vm t ~tid Mem.Memcg.st_pgmajfault;
-      note_refault t ~tid ~vpn ~now:!cursor;
+      note_refault t ~tid ~vpn ~now:t.cursor;
       let slot = Mem.Pte.swap_slot pte in
-      Swapdev.Swap_manager.swap_in_slot t.swap ~now:!cursor ~slot;
+      Swapdev.Swap_manager.swap_in_slot t.swap ~now:t.cursor ~slot;
       let io_cpu = Swapdev.Swap_manager.last_cpu_ns t.swap in
       let io_finish = Swapdev.Swap_manager.last_finish_ns t.swap in
       let io_failed = Swapdev.Swap_manager.last_failed t.swap in
-      cpu_acc := !cpu_acc + io_cpu;
+      t.cpu_acc <- t.cpu_acc + io_cpu;
       Prof.charge_phase t.prof Prof.Fault_handling io_cpu;
-      let before_wait = !cursor in
-      cursor := max !cursor io_finish;
-      Prof.wait t.prof ~tid ~now:!cursor Prof.Swap_wait (!cursor - before_wait);
-      mcg_stall t ~tid ~t0:before_wait ~t1:!cursor;
+      let before_wait = t.cursor in
+      t.cursor <- max t.cursor io_finish;
+      Prof.wait t.prof ~tid ~now:t.cursor Prof.Swap_wait (t.cursor - before_wait);
+      mcg_stall t ~tid ~t0:before_wait ~t1:t.cursor;
       if io_failed then begin
         (* The stored copy is unrecoverable: poison the mapping.  The
            thread continues on a zero-filled page, and the loss is
@@ -873,18 +888,18 @@ let handle_fault t ~tid ~(cursor : int ref) ~(cpu_acc : int ref) ~vpn ~write =
         mcg_vm t ~tid Mem.Memcg.st_pswpin;
         t.retained_slot.(vpn) <- slot;
         map_page t ~tid ~pfn ~vpn ~refault:true ~write ~demand:true;
-        readahead t ~tid ~cursor vpn
+        readahead t ~tid vpn
       end
     end
     else begin
       t.minor_faults <- t.minor_faults + 1;
-      cpu_acc := !cpu_acc + t.cfg.minor_fault_ns;
+      t.cpu_acc <- t.cpu_acc + t.cfg.minor_fault_ns;
       Prof.charge_phase t.prof Prof.Fault_handling t.cfg.minor_fault_ns;
       map_page t ~tid ~pfn ~vpn ~refault:false ~write ~demand:true
     end;
-    memcg_after_charge t ~tid ~cursor
+    memcg_after_charge t ~tid
   end;
-  Prof.end_phase t.prof ~now:!cursor
+  Prof.end_phase t.prof ~now:t.cursor
 
 let page_at pages i =
   match pages with
@@ -894,17 +909,17 @@ let page_at pages i =
 
 (* Touch one page: fast path sets the accessed (and dirty) bits exactly
    like the hardware walker; misses enter the fault path. *)
-let touch t ~tid ~cursor ~cpu_acc ~vpn ~write =
+let touch t ~tid ~vpn ~write =
   let pte = Mem.Page_table.get t.pt vpn in
   if Mem.Pte.present pte then begin
     let pte = Mem.Pte.set_accessed pte in
     let pte = if write then Mem.Pte.set_dirty pte else pte in
     Mem.Page_table.set t.pt vpn pte;
-    cpu_acc := !cpu_acc + t.cfg.hit_cpu_ns;
+    t.cpu_acc <- t.cpu_acc + t.cfg.hit_cpu_ns;
     ra_note_hit t vpn;
     on_touched t ~pfn:(Mem.Pte.pfn pte) ~write
   end
-  else handle_fault t ~tid ~cursor ~cpu_acc ~vpn ~write
+  else handle_fault t ~tid ~vpn ~write
 
 let record_latency t ~tid (c : Workload.Chunk.t) ns =
   let cls = c.Workload.Chunk.latency_class in
@@ -925,57 +940,71 @@ let rec run_thread t tid =
     else
       match Workload.Chunk.packed_next t.workload ~tid with
       | Workload.Chunk.Chunk c ->
-        process_segment t tid c ~index:0 ~chunk_start:(Engine.Sim.now t.sim)
+        t.seg_chunk.(tid) <- c;
+        t.seg_next.(tid) <- 0;
+        t.seg_start.(tid) <- Engine.Sim.now t.sim;
+        process_segment t tid
       | Workload.Chunk.Barrier -> barrier_arrive t tid
       | Workload.Chunk.Finished -> thread_finished t tid
   end
 
-(* Process up to [segment_pages] of a chunk atomically, then yield to the
-   event loop so kernel threads interleave with large chunks. *)
-and process_segment t tid c ~index ~chunk_start =
+(* Process up to [segment_pages] of the thread's chunk in flight
+   atomically, then yield to the event loop so kernel threads interleave
+   with large chunks.  Where the chunk stands lives in the per-thread
+   [seg_*] arrays, so the continuations it schedules are the ones built
+   once per thread in [run]: a segment allocates no closure. *)
+and process_segment t tid =
   let open Workload.Chunk in
+  let c = t.seg_chunk.(tid) in
+  let index = t.seg_next.(tid) in
   let total = page_count c.pages in
   let seg_len = min t.cfg.segment_pages (total - index) in
   let t0 = Engine.Sim.now t.sim in
   Engine.Cpu.run_begin t.cpu;
   Prof.enter_thread t.prof ~tid;
   t.reclaim_now <- t0;
-  let cursor = ref t0 in
-  let cpu_acc =
-    ref (if total = 0 then c.cpu_ns else c.cpu_ns * seg_len / total)
-  in
+  t.cursor <- t0;
+  t.cpu_acc <- (if total = 0 then c.cpu_ns else c.cpu_ns * seg_len / total);
   for i = index to index + seg_len - 1 do
     if not t.killed.(tid) then begin
       let write = c.write && i >= c.read_prefix in
-      touch t ~tid ~cursor ~cpu_acc ~vpn:(page_at c.pages i) ~write
+      touch t ~tid ~vpn:(page_at c.pages i) ~write
     end
   done;
-  Engine.Cpu.charge t.cpu !cpu_acc;
+  Engine.Cpu.charge t.cpu t.cpu_acc;
   let cpu_wall =
     int_of_float
-      (float_of_int (Engine.Cpu.scale t.cpu !cpu_acc) *. Engine.Rng.jitter t.rng 0.02)
+      (float_of_int (Engine.Cpu.scale t.cpu t.cpu_acc) *. Engine.Rng.jitter t.rng 0.02)
   in
   Prof.span t.prof ~tid Prof.App_compute ~t0 ~t1:(t0 + cpu_wall);
-  let io_wait = !cursor - t0 in
-  Engine.Sim.schedule t.sim ~delay:cpu_wall (fun _ -> Engine.Cpu.run_end t.cpu);
+  let io_wait = t.cursor - t0 in
+  Engine.Sim.schedule t.sim ~delay:cpu_wall t.cpu_run_end;
   if Mem.Phys_mem.below_low t.mem then wake_kthreads t;
-  let next_index = index + seg_len in
-  Engine.Sim.schedule t.sim ~delay:(cpu_wall + io_wait) (fun _ ->
-      if not t.stopped && not t.killed.(tid) then begin
-        if next_index >= total then begin
-          if c.latency_class >= 0 then
-            record_latency t ~tid c (Engine.Sim.now t.sim - chunk_start);
-          run_thread t tid
-        end
-        else begin
-          let su = t.chaos_stall_until.(tid) in
-          if su > Engine.Sim.now t.sim then
-            Engine.Sim.schedule_at t.sim ~time:su (fun _ ->
-                if not t.stopped && not t.killed.(tid) then
-                  process_segment t tid c ~index:next_index ~chunk_start)
-          else process_segment t tid c ~index:next_index ~chunk_start
-        end
-      end)
+  t.seg_next.(tid) <- index + seg_len;
+  Engine.Sim.schedule t.sim ~delay:(cpu_wall + io_wait) t.seg_done.(tid)
+
+(* Segment-done continuation of thread [tid]: record the chunk's latency
+   and fetch the next one, or run the chunk's next segment, after any
+   chaos stall. *)
+and segment_done t tid =
+  if not t.stopped && not t.killed.(tid) then begin
+    let open Workload.Chunk in
+    let c = t.seg_chunk.(tid) in
+    if t.seg_next.(tid) >= page_count c.pages then begin
+      if c.latency_class >= 0 then
+        record_latency t ~tid c (Engine.Sim.now t.sim - t.seg_start.(tid));
+      run_thread t tid
+    end
+    else begin
+      let su = t.chaos_stall_until.(tid) in
+      if su > Engine.Sim.now t.sim then
+        Engine.Sim.schedule_at t.sim ~time:su t.seg_resume.(tid)
+      else process_segment t tid
+    end
+  end
+
+and segment_resume t tid =
+  if not t.stopped && not t.killed.(tid) then process_segment t tid
 
 and barrier_arrive t tid =
   let g = t.groups.(tid) in
@@ -1287,6 +1316,7 @@ let run cfg ~policy ~workload =
                 --cgroups set?)"
                cgn))
       (Chaos.churn_cgs spec));
+  let cpu = Engine.Cpu.create ~hw_threads:cfg.hw_threads in
   let t =
     {
       cfg;
@@ -1295,7 +1325,7 @@ let run cfg ~policy ~workload =
       vm;
       ws = Mem.Workingset.create ~capacity:cfg.capacity_frames;
       sim = Engine.Sim.create ();
-      cpu = Engine.Cpu.create ~hw_threads:cfg.hw_threads;
+      cpu;
       rng;
       pt =
         Mem.Page_table.create ~region_size:cfg.costs.Mem.Costs.region_size ~asid:0
@@ -1352,6 +1382,14 @@ let run cfg ~policy ~workload =
       chaos_stall_until = Array.make nthreads 0;
       chaos_offlined = [];
       chaos_last = "";
+      seg_chunk = Array.make nthreads (Workload.Chunk.chunk (Workload.Chunk.Single 0));
+      seg_next = Array.make nthreads 0;
+      seg_start = Array.make nthreads 0;
+      seg_done = Array.make nthreads ignore;
+      seg_resume = Array.make nthreads ignore;
+      cpu_run_end = (fun _ -> Engine.Cpu.run_end cpu);
+      cursor = 0;
+      cpu_acc = 0;
     }
   in
   let env =
@@ -1416,6 +1454,10 @@ let run cfg ~policy ~workload =
       ks.kwake <- (fun _ -> ks.kdrive ()))
     t.kthreads;
   t.restart_thread <- (fun tid -> run_thread t tid);
+  for tid = 0 to nthreads - 1 do
+    t.seg_done.(tid) <- (fun _ -> segment_done t tid);
+    t.seg_resume.(tid) <- (fun _ -> segment_resume t tid)
+  done;
   Array.iter (fun ks -> Engine.Sim.schedule t.sim ~delay:0 ks.kwake) t.kthreads;
   for tid = 0 to nthreads - 1 do
     Engine.Sim.schedule t.sim ~delay:0 (fun _ -> run_thread t tid)

@@ -91,7 +91,7 @@ let load_chunk t st next_item =
   st.phase <- Loading (next_item + batch);
   Chunk.chunk ~write:true
     ~cpu_ns:(batch * t.config.request_cpu_ns / 4)
-    (Chunk.Pages (Array.of_list (List.sort compare page_list)))
+    (Chunk.Pages (Array.of_list (List.sort Int.compare page_list)))
 
 let request_chunk t st =
   let item = Zipf.sample t.zipf st.rng in

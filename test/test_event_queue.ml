@@ -118,6 +118,33 @@ let prop_pops_sorted =
       let out = drain [] in
       out = List.sort compare times)
 
+(* Interleaved adds and pops against a reference model: every pop must
+   return the payload of the earliest (time, insertion) entry.  Pops
+   free payload slots that later adds reuse, and the queue grows past
+   its first capacity, so the slot table's bookkeeping is exercised. *)
+let prop_matches_model =
+  QCheck.Test.make ~name:"interleaved ops match a sorted model" ~count:300
+    QCheck.(list_of_size Gen.(0 -- 300) (option (int_bound 20)))
+    (fun ops ->
+      let q = Q.create () in
+      let model = ref [] and seq = ref 0 in
+      List.for_all
+        (function
+          | Some time ->
+            Q.add q ~time !seq;
+            model := List.merge compare !model [ (time, !seq) ];
+            incr seq;
+            true
+          | None -> (
+            match (Q.pop q, !model) with
+            | None, [] -> true
+            | Some (t, payload), (t', s') :: rest ->
+              model := rest;
+              t = t' && payload = s'
+            | _ -> false))
+        ops
+      && Q.size q = List.length !model)
+
 let prop_size_tracks =
   QCheck.Test.make ~name:"size tracks adds and pops" ~count:200
     QCheck.(list (int_bound 100))
@@ -147,5 +174,6 @@ let () =
             test_clear_releases_capacity;
         ] );
       ( "properties",
-        List.map QCheck_alcotest.to_alcotest [ prop_pops_sorted; prop_size_tracks ] );
+        List.map QCheck_alcotest.to_alcotest
+          [ prop_pops_sorted; prop_matches_model; prop_size_tracks ] );
     ]

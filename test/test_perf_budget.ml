@@ -60,24 +60,25 @@ let check_budget (spec, ceiling) () =
     Alcotest.failf "%s allocates %.1f words/fault (budget %.0f)"
       (Policy.Registry.name spec) words ceiling
 
-(* The flattened builtins measure ~60 words/fault on this burst (nearly
-   all of it amortized machine/workload setup — the scan loops proper
-   are allocation-free); the MG-LRU variants add the aging walk (~75);
-   random samples candidate sets (~105).  The SDK guests (s3-fifo,
-   sieve, perceptron) funnel through the Guest_host trampoline whose V1
-   hook API returns eviction batches as lists by design, so they get a
-   wider — but still bounded — budget (~1220 measured).  Every ceiling
-   is ~3x the measured native number. *)
+(* The flattened builtins measure ~22 words/fault on this burst (nearly
+   all of it amortized machine/workload setup — the scan loops, the
+   random draws and the segment continuations are allocation-free); the
+   MG-LRU variants add the aging walk (~37); random samples candidate
+   sets (~40).  The SDK guests (s3-fifo, sieve, perceptron) funnel
+   through the Guest_host trampoline whose V1 hook API returns eviction
+   batches as lists by design, so they get a wider — but still bounded —
+   budget (~1190 measured).  Every ceiling is ~3x the measured
+   native number. *)
 let budgets =
   [
-    (Policy.Registry.Clock, 180.);
-    (Policy.Registry.Fifo, 180.);
-    (Policy.Registry.Lru_exact, 180.);
-    (Policy.Registry.Random, 320.);
-    (Policy.Registry.Mglru_default, 220.);
-    (Policy.Registry.Gen14, 220.);
-    (Policy.Registry.Scan_all, 220.);
-    (Policy.Registry.Scan_none, 220.);
+    (Policy.Registry.Clock, 66.);
+    (Policy.Registry.Fifo, 66.);
+    (Policy.Registry.Lru_exact, 66.);
+    (Policy.Registry.Random, 120.);
+    (Policy.Registry.Mglru_default, 110.);
+    (Policy.Registry.Gen14, 110.);
+    (Policy.Registry.Scan_all, 110.);
+    (Policy.Registry.Scan_none, 110.);
     (Policy.Registry.S3_fifo, 3600.);
     (Policy.Registry.Sieve, 3600.);
     (Policy.Registry.Perceptron, 3600.);
@@ -123,6 +124,97 @@ let check_trace_writer () =
     Alcotest.failf "write_trace allocates %.4f words/event (budget %g)" words
       trace_writer_budget
 
+(* Allocation budgets for the random draws behind every request: minor
+   words per call over [draws] calls.  The generator state is unboxed,
+   so a draw allocates only its result: nothing for an [int] or a
+   [bool], one boxed float (2 words) for a float, one boxed Int64
+   (3 words) for [bits64], since the test profile compiles modules
+   opaquely and a cross-module call cannot be inlined.  [Zipf.sample]
+   returns an int but boxes the float of the [Rng.float] behind each
+   attempt, and fewer than 1 % of samples retry.  A closure or a boxed
+   state word on the draw path shows up here as 5+ words per call. *)
+let draws = 100_000
+
+let words_per_call f =
+  let mw0 = Gc.minor_words () in
+  for _ = 1 to draws do
+    f ()
+  done;
+  let mw1 = Gc.minor_words () in
+  (mw1 -. mw0) /. float_of_int draws
+
+let sink = ref 0
+
+let draw_budgets =
+  let module R = Engine.Rng in
+  let r = R.create 7 in
+  let z = Workload.Zipf.create ~n:100_000 ~exponent:0.99 in
+  let keep x = sink := !sink lxor x in
+  let keep_float x = if x < 0.5 then incr sink in
+  [
+    ("Rng.int", 0., fun () -> keep (R.int r 1000));
+    ("Rng.int_in", 0., fun () -> keep (R.int_in r ~lo:(-5) ~hi:5));
+    ("Rng.bool", 0., fun () -> if R.bool r 0.3 then incr sink);
+    ("Rng.bits64", 3., fun () -> keep (Int64.to_int (R.bits64 r)));
+    ("Rng.float", 2., fun () -> keep_float (R.float r 1.0));
+    ("Rng.jitter", 2., fun () -> keep_float (R.jitter r 0.02));
+    ("Rng.exponential", 2., fun () -> keep_float (R.exponential r ~mean:1.0));
+    ("Rng.gaussian", 2., fun () -> keep_float (R.gaussian r ~mu:0.0 ~sigma:1.0));
+    ("Zipf.sample", 2.01, fun () -> keep (Workload.Zipf.sample z r));
+  ]
+
+let check_draw (name, ceiling, f) () =
+  f ();
+  let words = words_per_call f in
+  if Sys.getenv_opt "PERF_BUDGET_VERBOSE" <> None then
+    Printf.eprintf "%-16s %6.3f words/call (budget %g)\n%!" name words ceiling;
+  if words > ceiling then
+    Alcotest.failf "%s allocates %.3f words/call (budget %g)" name words ceiling
+
+(* Allocation budget for one YCSB request in the run phase: what
+   [Ycsb.next] builds per request is the [Chunk] value it returns (the
+   two-page array, the [Pages] box, the record and the [Chunk] step,
+   13 words), plus in the test profile the three [Some]s of
+   [Chunk.chunk]'s optional arguments and the zipfian draw's boxed
+   float.  21 words measured (13 in a release build); the ceiling is
+   ~3x that. *)
+let request_budget = 60.
+
+let check_ycsb_request () =
+  let module Y = Workload.Ycsb in
+  let module C = Workload.Chunk in
+  let config =
+    { Y.default_config with Y.items = 20_000; requests = 4 * draws; threads = 4 }
+  in
+  let w = Y.create ~config ~variant:Y.A ~rng:(Engine.Rng.create 5) () in
+  (* Run thread 0 through its load phase and barrier. *)
+  let rec to_run_phase () =
+    match Y.next w ~tid:0 with
+    | C.Barrier -> ()
+    | C.Chunk _ -> to_run_phase ()
+    | C.Finished -> Alcotest.fail "thread finished during load"
+  in
+  to_run_phase ();
+  let requests = ref 0 in
+  let mw0 = Gc.minor_words () in
+  let rec go () =
+    match Y.next w ~tid:0 with
+    | C.Chunk _ ->
+      incr requests;
+      go ()
+    | C.Barrier | C.Finished -> ()
+  in
+  go ();
+  let mw1 = Gc.minor_words () in
+  Alcotest.(check int) "requests drawn" draws !requests;
+  let words = (mw1 -. mw0) /. float_of_int !requests in
+  if Sys.getenv_opt "PERF_BUDGET_VERBOSE" <> None then
+    Printf.eprintf "Ycsb.next        %6.2f words/request (budget %g)\n%!" words
+      request_budget;
+  if words >= request_budget then
+    Alcotest.failf "Ycsb.next allocates %.2f words/request (budget %g)" words
+      request_budget
+
 let () =
   Alcotest.run "perf_budget"
     [
@@ -134,4 +226,10 @@ let () =
           budgets );
       ( "allocs-per-trace-event",
         [ Alcotest.test_case "write_trace" `Quick check_trace_writer ] );
+      ( "allocs-per-draw",
+        List.map
+          (fun ((name, _, _) as b) -> Alcotest.test_case name `Quick (check_draw b))
+          draw_budgets );
+      ( "allocs-per-request",
+        [ Alcotest.test_case "Ycsb.next" `Quick check_ycsb_request ] );
     ]
