@@ -400,8 +400,8 @@ let cell_json c =
     c.ec_name c.ec_pages c.ec_ratio c.ec_wall_s c.ec_sim_ns c.ec_major
     c.ec_minor c.ec_allocs_per_fault (sim_ns_per_wall_ms c)
 
-(* The machine the numbers were taken on: wall-clock figures are only
-   comparable between runs on the same host. *)
+(* The machine and build the numbers were taken on: wall-clock figures
+   are only comparable between runs on the same host and dune profile. *)
 let cpu_model () =
   let model line =
     match String.split_on_char ':' line with
@@ -416,9 +416,11 @@ let cpu_model () =
       (List.find_map model (String.split_on_char '\n' text))
 
 let host_json () =
-  Printf.sprintf "{ \"cpus\": %d, \"cpu_model\": %S, \"ocaml\": \"%s\" }"
+  Printf.sprintf
+    "{ \"cpus\": %d, \"cpu_model\": %S, \"ocaml\": \"%s\", \
+     \"build_profile\": \"%s\" }"
     (Domain.recommended_domain_count ())
-    (cpu_model ()) Sys.ocaml_version
+    (cpu_model ()) Sys.ocaml_version Build_profile.name
 
 let run_engine_harness () =
   print_endline "=== Engine wall-clock harness ===";

@@ -10,6 +10,7 @@ let audit ~last_chaos ~memcg ~owners ~pt ~frames ~mem ~swap ~retained_slot =
   let out = ref [] in
   let add x = out := x :: !out in
   let nswapped = ref 0 and nretained = ref 0 in
+  let pool_resident = Array.make (Mem.Phys_mem.pools mem) 0 in
   (* Name the owning cgroup in page-side failures so a violation under
      chaos churn points straight at the group whose limits moved. *)
   let owning_cg vpn =
@@ -54,6 +55,14 @@ let audit ~last_chaos ~memcg ~owners ~pt ~frames ~mem ~swap ~retained_slot =
         add
           (v "pte-offline-frame" vpn "present PTE maps offline pfn %d%s" pfn
              (owning_cg vpn));
+      (* Tier pools: the PTE's tier bit names its frame's pool. *)
+      let pool = Mem.Phys_mem.pool_of mem pfn in
+      pool_resident.(pool) <- pool_resident.(pool) + 1;
+      if Mem.Pte.slow pte <> (pool > 0) then
+        add
+          (v "pte-tier-pool" vpn "%s-tier PTE maps pfn %d of pool %d"
+             (if Mem.Pte.slow pte then "slow" else "fast")
+             pfn pool);
       match Mem.Frame_table.owner frames pfn with
       | None ->
         add
@@ -116,6 +125,14 @@ let audit ~last_chaos ~memcg ~owners ~pt ~frames ~mem ~swap ~retained_slot =
   if used <> mapped then
     add (v "count-used-mapped" used "allocated frames %d <> mapped frames %d" used
            mapped);
+  Array.iteri
+    (fun pool resident ->
+      let used = Mem.Phys_mem.pool_used mem pool in
+      if used <> resident then
+        add
+          (v "count-pool-used" pool "pool allocates %d frames <> %d resident pages"
+             used resident))
+    pool_resident;
   (* Hotplug accounting: the online population, recomputed by scan, must
      match the allocator's counter, and free + used must cover exactly
      the online frames — an offlined frame is neither free nor mapped. *)

@@ -41,6 +41,11 @@ val audit :
     charges, effective protection never exceeds usage, and a dead
     cgroup (every member thread killed) charges nothing.
 
+    Tier-pool checks run unconditionally (an untiered machine is one
+    pool): each pool's allocated-frame count equals the resident pages
+    mapped into it, and every present PTE's tier bit matches its
+    frame's pool.
+
     Hotplug checks run unconditionally: no PTE or reverse-map entry may
     reference an offlined frame, the allocator's online counter must
     match a full scan, and [free + used] must equal the online

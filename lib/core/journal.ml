@@ -176,6 +176,7 @@ let result_of_fields fields : Machine.result =
         try Some (Obs.Vmstat.decode_capture s)
         with Failure msg -> raise (Decode msg)));
     heatmap = None;
+    tier = None;
   }
 
 (* ------------------------------------------------------------------ *)

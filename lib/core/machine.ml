@@ -1,4 +1,5 @@
 module Prof = Obs.Prof
+module Mig = Tiering.Migration_intf
 
 type swap_kind =
   | Ssd_swap of Swapdev.Ssd.config
@@ -7,6 +8,23 @@ type swap_kind =
 let ssd = Ssd_swap Swapdev.Ssd.default_config
 
 let zram = Zram_swap Swapdev.Zram.default_config
+
+type tiering = {
+  fast_frames : int;
+  slow_extra_ns : int;
+  hint_fault_ns : int;
+  migrate_page_ns : int;
+  migration : Mig.env -> Mig.packed;
+}
+
+let tiering ~fast_frames migration =
+  {
+    fast_frames;
+    slow_extra_ns = 3_000_000;
+    hint_fault_ns = 50_000;
+    migrate_page_ns = 400_000;
+    migration;
+  }
 
 type config = {
   hw_threads : int;
@@ -46,6 +64,9 @@ type config = {
   damon : Mem.Damon.config option;
       (** DAMON-style region access monitor (None = no monitor ticks,
           no capture, byte-identical results) *)
+  tiering : tiering option;
+      (** fast + slow frame pools under a migration policy (None = one
+          pool, no tier bits ever set) *)
 }
 
 let default_config ~capacity_frames ~seed =
@@ -81,7 +102,25 @@ let default_config ~capacity_frames ~seed =
     chaos = None;
     vmstat = false;
     damon = None;
+    tiering = None;
   }
+
+type tier_result = {
+  fast_touches : int;
+  slow_touches : int;
+  hint_faults : int;
+  promotions : int;
+  demotions : int;
+  failed_promotions : int;
+  fast_resident : int;
+  slow_resident : int;
+  migration_name : string;
+  migration_stats : (string * int) list;
+}
+
+let slow_fraction r =
+  let warm = r.fast_touches + r.slow_touches in
+  if warm = 0 then 0.0 else float_of_int r.slow_touches /. float_of_int warm
 
 type result = {
   runtime_ns : int;
@@ -116,6 +155,7 @@ type result = {
   profile : Obs.Prof.capture option;
   vmstat : Obs.Vmstat.capture option;
   heatmap : Mem.Damon.capture option;
+  tier : tier_result option;
 }
 
 type kthread_state = {
@@ -229,6 +269,15 @@ type t = {
      goes through the event queue), so one pair serves all threads. *)
   mutable cursor : int;
   mutable cpu_acc : int;
+  (* Tiering: the migration policy, installed once the machine exists
+     like the replacement policy ([None] untiered), and its counters. *)
+  mutable migration : Mig.packed option;
+  mutable touches : int; (* pages touched, faults included *)
+  mutable slow_touches : int;
+  mutable hint_faults : int;
+  mutable promotions : int;
+  mutable demotions : int;
+  mutable failed_promotions : int;
 }
 
 let ra_zone_pages = 512
@@ -273,6 +322,19 @@ let on_mapped t ~pfn ~vpn ~refault ~file_backed ~speculative =
 let on_touched t ~pfn ~write =
   let (Policy.Policy_intf.Packed ((module P), p)) = policy_of t in
   P.on_page_touched p ~pfn ~write
+
+let tier_of_pte pte = if Mem.Pte.slow pte then Mig.Slow else Mig.Fast
+
+(* Frame for a page about to be mapped.  Untiered, the free-stack pop;
+   tiered, the migration policy's preferred pool, falling back to any
+   pool with room. *)
+let frame_for t ~vpn =
+  match t.migration with
+  | None -> Mem.Phys_mem.alloc_pfn t.mem
+  | Some (Mig.Packed ((module M), m)) ->
+    let pool = match M.initial_tier m ~vpn with Mig.Fast -> 0 | Mig.Slow -> 1 in
+    let pfn = Mem.Phys_mem.alloc_pfn_in t.mem ~pool in
+    if pfn >= 0 then pfn else Mem.Phys_mem.alloc_pfn t.mem
 
 (* Wake every sleeping kthread in one pass.  Scheduling reuses each
    kthread's pre-allocated wake closure, and the flattened event queue
@@ -418,10 +480,31 @@ let map_page t ~tid ~pfn ~vpn ~refault ~write ~demand =
   let pte = Mem.Pte.mapped ~pfn ~file_backed in
   let pte = if demand then Mem.Pte.set_accessed pte else pte in
   let pte = if write then Mem.Pte.set_dirty pte else pte in
+  let slow = Mem.Phys_mem.pool_of t.mem pfn > 0 in
+  let pte = if slow then Mem.Pte.set_slow pte else pte in
   Mem.Page_table.set t.pt vpn pte;
   rss_page_mapped t ~tid ~vpn;
   on_mapped t ~pfn ~vpn ~refault ~file_backed ~speculative:(not demand);
+  (match t.migration with
+  | Some (Mig.Packed ((module M), m)) -> M.on_placed m ~vpn (tier_of_pte pte)
+  | None -> ());
   if demand then on_touched t ~pfn ~write
+
+(* Every member of group [g] has arrived: restart the waiters once the
+   rendezvous cost has elapsed. *)
+let release_barrier t g =
+  let waiters = t.group_waiters.(g) in
+  t.group_arrived.(g) <- 0;
+  t.group_waiters.(g) <- [];
+  List.iter (fun w -> t.waiting.(w) <- false) waiters;
+  Engine.Sim.schedule t.sim ~delay:t.cfg.costs.Mem.Costs.barrier_ns (fun _ ->
+      let now = Engine.Sim.now t.sim in
+      List.iter
+        (fun w ->
+          Prof.wait t.prof ~tid:w ~now Prof.Barrier_wait
+            (now - t.barrier_arrive_ns.(w));
+          t.restart_thread w)
+        waiters)
 
 (* Model the OOM killer: pick the live thread with the largest resident
    share — restricted to cgroup [cg] when the kill is scoped — terminate
@@ -504,20 +587,7 @@ let oom_kill ?cg t =
       t.group_size.(g) > 0
       && t.group_arrived.(g) >= t.group_size.(g)
       && t.group_waiters.(g) <> []
-    then begin
-      let waiters = t.group_waiters.(g) in
-      t.group_arrived.(g) <- 0;
-      t.group_waiters.(g) <- [];
-      List.iter (fun w -> t.waiting.(w) <- false) waiters;
-      Engine.Sim.schedule t.sim ~delay:t.cfg.costs.Mem.Costs.barrier_ns (fun _ ->
-          let now = Engine.Sim.now t.sim in
-          List.iter
-            (fun w ->
-              Prof.wait t.prof ~tid:w ~now Prof.Barrier_wait
-                (now - t.barrier_arrive_ns.(w));
-              t.restart_thread w)
-            waiters)
-    end;
+    then release_barrier t g;
     if t.finish_ns.(v) < 0 then begin
       t.finish_ns.(v) <- Engine.Sim.now t.sim;
       t.active_threads <- t.active_threads - 1;
@@ -546,8 +616,8 @@ let oom_kill ?cg t =
    free memory, degrade through the OOM killer rather than aborting the
    trial; [None] means the faulting thread itself was chosen and its
    fault must unwind. *)
-let alloc_frame t ~tid =
-  let pfn = Mem.Phys_mem.alloc_pfn t.mem in
+let alloc_frame t ~tid ~vpn =
+  let pfn = frame_for t ~vpn in
   if pfn >= 0 then begin
     if Mem.Phys_mem.below_low t.mem then wake_kthreads t;
     pfn
@@ -558,7 +628,7 @@ let alloc_frame t ~tid =
       if t.killed.(tid) then -1
       else if attempts > 64 then
         if oom_kill t && not t.killed.(tid) then begin
-          let pfn = Mem.Phys_mem.alloc_pfn t.mem in
+          let pfn = frame_for t ~vpn in
           if pfn >= 0 then pfn else retry 0
         end
         else -1
@@ -603,7 +673,7 @@ let alloc_frame t ~tid =
           t.mcg_unproductive <-
             (if stats.Policy.Policy_intf.freed = 0 then t.mcg_unproductive + 1
              else 0);
-        let pfn = Mem.Phys_mem.alloc_pfn t.mem in
+        let pfn = frame_for t ~vpn in
         if pfn >= 0 then pfn else retry (attempts + 1)
       end
     in
@@ -811,7 +881,7 @@ let readahead t ~tid vpn =
       if not !stop then begin
         let pte = Mem.Page_table.get t.pt v in
         if Mem.Pte.swapped pte then begin
-          let pfn = Mem.Phys_mem.alloc_pfn t.mem in
+          let pfn = frame_for t ~vpn:v in
           if pfn < 0 then stop := true
           else begin
             let slot = Mem.Pte.swap_slot pte in
@@ -851,7 +921,7 @@ let handle_fault t ~tid ~vpn ~write =
      sacrifice one of its own) no matter how much global memory is
      free.  May kill [tid]. *)
   memcg_enforce_max t ~tid;
-  let pfn = if t.killed.(tid) then -1 else alloc_frame t ~tid in
+  let pfn = if t.killed.(tid) then -1 else alloc_frame t ~tid ~vpn in
   (* pfn < 0: the faulting thread lost the OOM lottery *)
   if pfn >= 0 then begin
     (* Attribute the trap cost after the allocation so the pending
@@ -907,11 +977,38 @@ let page_at pages i =
   | Workload.Chunk.Pages a -> a.(i)
   | Workload.Chunk.Single p -> p
 
+(* A resident touch off the hardware fast path: the page sits in the
+   slow pool, or a migration policy armed a hint on it.  The touch pays
+   the slow tier's latency, and a hint traps to the policy — which may
+   migrate the page — before the accessed bit lands on whichever frame
+   holds the page now. *)
+let tier_touch t ~vpn ~pte ~write =
+  match (t.cfg.tiering, t.migration) with
+  | Some tc, Some (Mig.Packed ((module M), m)) ->
+    t.cpu_acc <- t.cpu_acc + t.cfg.hit_cpu_ns;
+    if Mem.Pte.slow pte then begin
+      t.slow_touches <- t.slow_touches + 1;
+      t.cpu_acc <- t.cpu_acc + tc.slow_extra_ns
+    end;
+    if Mem.Pte.hinted pte then begin
+      Mem.Page_table.set t.pt vpn (Mem.Pte.clear_hint pte);
+      t.hint_faults <- t.hint_faults + 1;
+      t.cpu_acc <- t.cpu_acc + tc.hint_fault_ns;
+      Prof.charge_phase t.prof Prof.Fault_handling tc.hint_fault_ns;
+      M.on_hint_fault m ~vpn (tier_of_pte pte) ~write
+    end;
+    let pte = Mem.Pte.set_accessed (Mem.Page_table.get t.pt vpn) in
+    let pte = if write then Mem.Pte.set_dirty pte else pte in
+    Mem.Page_table.set t.pt vpn pte;
+    ra_note_hit t vpn;
+    on_touched t ~pfn:(Mem.Pte.pfn pte) ~write
+  | _ -> invalid_arg "Machine: tier bits on an untiered machine"
+
 (* Touch one page: fast path sets the accessed (and dirty) bits exactly
-   like the hardware walker; misses enter the fault path. *)
+   like the hardware walker; tier bits and misses leave it. *)
 let touch t ~tid ~vpn ~write =
   let pte = Mem.Page_table.get t.pt vpn in
-  if Mem.Pte.present pte then begin
+  if Mem.Pte.hit pte then begin
     let pte = Mem.Pte.set_accessed pte in
     let pte = if write then Mem.Pte.set_dirty pte else pte in
     Mem.Page_table.set t.pt vpn pte;
@@ -919,6 +1016,7 @@ let touch t ~tid ~vpn ~write =
     ra_note_hit t vpn;
     on_touched t ~pfn:(Mem.Pte.pfn pte) ~write
   end
+  else if Mem.Pte.present pte then tier_touch t ~vpn ~pte ~write
   else handle_fault t ~tid ~vpn ~write
 
 let record_latency t ~tid (c : Workload.Chunk.t) ns =
@@ -965,12 +1063,14 @@ and process_segment t tid =
   t.reclaim_now <- t0;
   t.cursor <- t0;
   t.cpu_acc <- (if total = 0 then c.cpu_ns else c.cpu_ns * seg_len / total);
-  for i = index to index + seg_len - 1 do
-    if not t.killed.(tid) then begin
-      let write = c.write && i >= c.read_prefix in
-      touch t ~tid ~vpn:(page_at c.pages i) ~write
-    end
+  let stop = index + seg_len in
+  let i = ref index in
+  while !i < stop && not t.killed.(tid) do
+    let write = c.write && !i >= c.read_prefix in
+    touch t ~tid ~vpn:(page_at c.pages !i) ~write;
+    incr i
   done;
+  t.touches <- t.touches + (!i - index);
   Engine.Cpu.charge t.cpu t.cpu_acc;
   let cpu_wall =
     int_of_float
@@ -1012,20 +1112,7 @@ and barrier_arrive t tid =
   t.group_arrived.(g) <- t.group_arrived.(g) + 1;
   t.group_waiters.(g) <- tid :: t.group_waiters.(g);
   t.waiting.(tid) <- true;
-  if t.group_arrived.(g) >= t.group_size.(g) then begin
-    let waiters = t.group_waiters.(g) in
-    t.group_arrived.(g) <- 0;
-    t.group_waiters.(g) <- [];
-    List.iter (fun w -> t.waiting.(w) <- false) waiters;
-    Engine.Sim.schedule t.sim ~delay:t.cfg.costs.Mem.Costs.barrier_ns (fun _ ->
-        let now = Engine.Sim.now t.sim in
-        List.iter
-          (fun w ->
-            Prof.wait t.prof ~tid:w ~now Prof.Barrier_wait
-              (now - t.barrier_arrive_ns.(w));
-            run_thread t w)
-          waiters)
-  end
+  if t.group_arrived.(g) >= t.group_size.(g) then release_barrier t g
 
 and thread_finished t tid =
   if t.finish_ns.(tid) < 0 then begin
@@ -1083,30 +1170,84 @@ let audit t =
     ~pt:t.pt ~frames:t.frames ~mem:t.mem ~swap:t.swap
     ~retained_slot:t.retained_slot
 
+(* ---- Page migration ----------------------------------------------- *)
+
+(* Move a resident page from frame [src] to the allocated frame [dst]:
+   rewrite the PTE (the tier bit follows [dst]'s pool) and the reverse
+   map, and re-announce the page to the replacement policy.  Policies
+   tolerate the stale source pfn exactly as they tolerate a frame the
+   OOM killer freed behind their back.  [src] is the caller's to free
+   or offline. *)
+let move_page t ~vpn ~src ~dst =
+  let pte = Mem.Page_table.get t.pt vpn in
+  let npte = Mem.Pte.remap pte ~pfn:dst in
+  let npte =
+    if Mem.Phys_mem.pool_of t.mem dst > 0 then Mem.Pte.set_slow npte else npte
+  in
+  Mem.Page_table.set t.pt vpn npte;
+  Mem.Frame_table.clear_owner t.frames ~pfn:src;
+  Mem.Frame_table.set_owner t.frames ~pfn:dst ~asid:0 ~vpn;
+  on_mapped t ~pfn:dst ~vpn ~refault:true ~file_backed:(Mem.Pte.file_backed pte)
+    ~speculative:false
+
+(* Tier migration on a policy's behalf: move a resident page into a free
+   frame of the other tier's [pool] (0 promotes, 1 demotes).  Fails when
+   the page is not resident in the other tier or [pool] is full — a
+   failed promotion is counted.  The policy charges the copy to its own
+   kthread work. *)
+let migrate t ~vpn ~pool =
+  let pte = Mem.Page_table.get t.pt vpn in
+  Mem.Pte.present pte
+  && Mem.Pte.slow pte = (pool = 0)
+  &&
+  let dst = Mem.Phys_mem.alloc_pfn_in t.mem ~pool in
+  if dst < 0 then begin
+    if pool = 0 then t.failed_promotions <- t.failed_promotions + 1;
+    false
+  end
+  else begin
+    move_page t ~vpn ~src:(Mem.Pte.pfn pte) ~dst;
+    Mem.Phys_mem.free t.mem (Mem.Pte.pfn pte);
+    if pool = 0 then t.promotions <- t.promotions + 1
+    else t.demotions <- t.demotions + 1;
+    true
+  end
+
+let migration_env t tc ~rng =
+  let tier_of vpn =
+    let pte = Mem.Page_table.get t.pt vpn in
+    if Mem.Pte.present pte then Some (tier_of_pte pte) else None
+  in
+  {
+    Mig.costs = t.cfg.costs;
+    pt = t.pt;
+    rng;
+    now = (fun () -> Engine.Sim.now t.sim);
+    tier_of;
+    fast_free = (fun () -> Mem.Phys_mem.pool_free t.mem 0);
+    fast_capacity = tc.fast_frames;
+    migrate_cost_ns = tc.migrate_page_ns;
+    promote = (fun ~vpn -> migrate t ~vpn ~pool:0);
+    demote = (fun ~vpn -> migrate t ~vpn ~pool:1);
+    poison =
+      (fun ~vpn ->
+        let pte = Mem.Page_table.get t.pt vpn in
+        if Mem.Pte.present pte then Mem.Page_table.set t.pt vpn (Mem.Pte.set_hint pte));
+  }
+
 (* ---- Chaos injection --------------------------------------------- *)
 
-(* Move a resident page off an offlining frame: allocate a destination
-   (always lower-numbered — every higher frame is already offline),
-   rewrite the PTE and reverse map, and re-announce the page to the
-   policy.  Policies tolerate the stale source pfn exactly as they
-   tolerate a frame the OOM killer freed behind their back. *)
+(* Move a resident page off an offlining frame to any free frame
+   (always lower-numbered — every higher frame is already offline). *)
 let chaos_migrate t ~src ~vpn =
   let dst = Mem.Phys_mem.alloc_pfn t.mem in
   if dst < 0 then false
   else begin
-    let pte = Mem.Page_table.get t.pt vpn in
-    let file_backed = Mem.Pte.file_backed pte in
-    let npte = Mem.Pte.to_mapped pte ~pfn:dst in
-    let npte = if Mem.Pte.accessed pte then Mem.Pte.set_accessed npte else npte in
-    let npte = if Mem.Pte.dirty pte then Mem.Pte.set_dirty npte else npte in
-    Mem.Page_table.set t.pt vpn npte;
-    Mem.Frame_table.clear_owner t.frames ~pfn:src;
-    Mem.Frame_table.set_owner t.frames ~pfn:dst ~asid:0 ~vpn;
     (* Page-copy cost, charged like kswapd work. *)
     Engine.Cpu.charge_tagged t.cpu
       ~phase:(Prof.phase_index Prof.Evict_scan)
       t.cfg.minor_fault_ns;
-    on_mapped t ~pfn:dst ~vpn ~refault:true ~file_backed ~speculative:false;
+    move_page t ~vpn ~src ~dst;
     true
   end
 
@@ -1248,6 +1389,21 @@ let apply_chaos t (cs : Chaos.summary) action =
      [audit_every_ns]. *)
   t.invariant_violations <- t.invariant_violations + List.length (audit t)
 
+let tier_result t (Mig.Packed ((module M), m)) =
+  let faults = Obs.Vmstat.get t.vm Obs.Vmstat.pgfault in
+  {
+    fast_touches = t.touches - faults - t.slow_touches;
+    slow_touches = t.slow_touches;
+    hint_faults = t.hint_faults;
+    promotions = t.promotions;
+    demotions = t.demotions;
+    failed_promotions = t.failed_promotions;
+    fast_resident = Mem.Phys_mem.pool_used t.mem 0;
+    slow_resident = Mem.Phys_mem.pool_used t.mem 1;
+    migration_name = M.policy_name;
+    migration_stats = M.stats m;
+  }
+
 let injects ~fault_plan ~chaos =
   (not (Swapdev.Faulty_device.is_none fault_plan))
   || match chaos with Some spec -> Chaos.has_degrade spec | None -> false
@@ -1316,6 +1472,14 @@ let run cfg ~policy ~workload =
                 --cgroups set?)"
                cgn))
       (Chaos.churn_cgs spec));
+  let pools =
+    Option.map
+      (fun tc ->
+        if tc.fast_frames <= 0 || tc.fast_frames >= cfg.capacity_frames then
+          invalid_arg "Machine.run: tiering fast_frames";
+        [| tc.fast_frames; cfg.capacity_frames - tc.fast_frames |])
+      cfg.tiering
+  in
   let cpu = Engine.Cpu.create ~hw_threads:cfg.hw_threads in
   let t =
     {
@@ -1331,7 +1495,7 @@ let run cfg ~policy ~workload =
         Mem.Page_table.create ~region_size:cfg.costs.Mem.Costs.region_size ~asid:0
           ~pages:footprint ();
       frames = Mem.Frame_table.create ~frames:cfg.capacity_frames;
-      mem = Mem.Phys_mem.create ~frames:cfg.capacity_frames ();
+      mem = Mem.Phys_mem.create ?pools ~frames:cfg.capacity_frames ();
       swap =
         Swapdev.Swap_manager.create ~max_retries:cfg.io_max_retries
           ~backoff_ns:cfg.io_retry_backoff_ns ~obs ~vmstat:vm ~device
@@ -1390,6 +1554,13 @@ let run cfg ~policy ~workload =
       cpu_run_end = (fun _ -> Engine.Cpu.run_end cpu);
       cursor = 0;
       cpu_acc = 0;
+      migration = None;
+      touches = 0;
+      slow_touches = 0;
+      hint_faults = 0;
+      promotions = 0;
+      demotions = 0;
+      failed_promotions = 0;
     }
   in
   let env =
@@ -1425,6 +1596,15 @@ let run cfg ~policy ~workload =
   let packed = policy env in
   t.policy <- Some packed;
   let (Policy.Policy_intf.Packed ((module P), p)) = packed in
+  let migration_kthreads =
+    match cfg.tiering with
+    | None -> []
+    | Some tc ->
+      let m = tc.migration (migration_env t tc ~rng:(Engine.Rng.split rng)) in
+      t.migration <- Some m;
+      let (Mig.Packed ((module M), mp)) = m in
+      M.kthreads mp
+  in
   t.kthreads <-
     Array.of_list
       (List.mapi
@@ -1447,7 +1627,7 @@ let run cfg ~policy ~workload =
              kdrive = (fun () -> ());
              kwake = ignore;
            })
-         (P.kthreads p));
+         (P.kthreads p @ migration_kthreads));
   Array.iter
     (fun ks ->
       ks.kdrive <- make_driver t ks;
@@ -1644,4 +1824,5 @@ let run cfg ~policy ~workload =
     profile = Prof.capture prof;
     vmstat = (if cfg.vmstat then Some (Obs.Vmstat.capture vm) else None);
     heatmap = Option.map Mem.Damon.capture damon;
+    tier = Option.map (tier_result t) t.migration;
   }

@@ -17,7 +17,14 @@
     errors pin the page in memory, and when reclaim can no longer free
     anything an OOM killer terminates the fattest thread instead of
     aborting the trial.  {!Invariants.audit} cross-checks machine state
-    after every run and optionally on a cadence. *)
+    after every run and optionally on a cadence.
+
+    A tiered machine ([config.tiering]) splits its frames into a fast
+    and a slow pool under a page-migration policy (paper §II-C): slow
+    pages stay mapped but every touch pays extra, policies arm hint
+    faults on present PTEs and migrate pages between the pools from
+    their own kernel threads.  Reclaim to swap works as on any machine,
+    so DRAM → slow tier → swap is one chain. *)
 
 type swap_kind =
   | Ssd_swap of Swapdev.Ssd.config
@@ -28,6 +35,23 @@ val ssd : swap_kind
 
 val zram : swap_kind
 (** Paper defaults: 20 µs reads / 35 µs writes, CPU-coupled. *)
+
+type tiering = {
+  fast_frames : int;
+      (** pool 0 (the lowest pfns) is the fast tier; the remaining
+          [capacity_frames - fast_frames] frames are the slow pool *)
+  slow_extra_ns : int;   (** added to every touch of a slow-tier page *)
+  hint_fault_ns : int;   (** cost of a touch that trips an armed hint *)
+  migrate_page_ns : int;
+      (** copy cost per migrated page, charged by the policy's kthreads *)
+  migration : Tiering.Migration_intf.env -> Tiering.Migration_intf.packed;
+}
+
+val tiering :
+  fast_frames:int -> (Tiering.Migration_intf.env -> Tiering.Migration_intf.packed) ->
+  tiering
+(** Experiment-scaled costs (DESIGN.md "Scaling"): 3 ms slow-tier
+    penalty per touch, 50 µs hint faults, 400 µs per migrated page. *)
 
 type config = {
   hw_threads : int;
@@ -105,12 +129,36 @@ type config = {
           [result.heatmap].  Pure observation: no CPU charges, no
           randomness, so a monitored run's metrics equal an unmonitored
           one's.  [None] (the default) schedules nothing *)
+  tiering : tiering option;
+      (** fast + slow frame pools under a migration policy, whose
+          kthreads run beside the replacement policy's; counters come
+          back in [result.tier].  [None] (the default) is one pool and
+          never sets a tier bit.
+          @raise Invalid_argument from {!run} unless
+          [0 < fast_frames < capacity_frames] *)
 }
 
 val default_config : capacity_frames:int -> seed:int -> config
 (** SSD swap, 12 hardware threads, experiment-scaled cost model
     (64-PTE page-table regions; see DESIGN.md on footprint scaling).
     Fault injection disabled. *)
+
+type tier_result = {
+  fast_touches : int;      (** resident touches served by the fast tier *)
+  slow_touches : int;      (** resident touches that paid the slow tier *)
+  hint_faults : int;
+  promotions : int;
+  demotions : int;
+  failed_promotions : int; (** promote calls rejected: fast tier full *)
+  fast_resident : int;
+  slow_resident : int;
+  migration_name : string;
+  migration_stats : (string * int) list;
+}
+
+val slow_fraction : tier_result -> float
+(** Fraction of resident touches served from the slow tier — the
+    headline quality metric for a migration policy. *)
 
 type result = {
   runtime_ns : int;
@@ -163,6 +211,7 @@ type result = {
   heatmap : Mem.Damon.capture option;
       (** the region monitor's aggregation rows in tick order; [None]
           when [config.damon] was [None] *)
+  tier : tier_result option;  (** [None] when [config.tiering] was [None] *)
 }
 
 val injects :

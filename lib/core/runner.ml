@@ -666,13 +666,37 @@ let mean_read_latency_ns results = mean (pooled_read_latencies results)
 (* experiment, in the deterministic log order.                          *)
 (* ------------------------------------------------------------------ *)
 
-let captured ctx =
+(* One kind of capture from the experiment log: every logged experiment
+   whose cached result carries one, in log order. *)
+let logged ctx capture =
   List.filter_map
     (fun e ->
       match cache_find ctx (exp_key e) with
-      | Some (Done { Machine.trace = Some cap; _ }) -> Some (e, cap)
+      | Some (Done r) -> Option.map (fun cap -> (e, cap)) (capture r)
       | _ -> None)
     (traced_exps ctx)
+
+(* Per-cell merges: captures grouped by grid cell (the experiment minus
+   its trial index) in first-appearance order, each cell's captures
+   merged in trial order. *)
+let by_cell merge captures =
+  let order = ref [] in
+  let tbl = Hashtbl.create 8 in
+  List.iter
+    (fun (e, cap) ->
+      let cell = { e with trial = 0 } in
+      let key = exp_key cell in
+      match Hashtbl.find_opt tbl key with
+      | Some caps -> Hashtbl.replace tbl key (cap :: caps)
+      | None ->
+        order := (key, cell) :: !order;
+        Hashtbl.add tbl key [ cap ])
+    captures;
+  List.rev_map
+    (fun (key, cell) -> (cell, merge (List.rev (Hashtbl.find tbl key))))
+    !order
+
+let captured ctx = logged ctx (fun r -> r.Machine.trace)
 
 let cell_fields e =
   [
@@ -755,32 +779,9 @@ let merged_reclaim_hists ctx =
 (* same deterministic log order as the telemetry writers.              *)
 (* ------------------------------------------------------------------ *)
 
-let profiled ctx =
-  List.filter_map
-    (fun e ->
-      match cache_find ctx (exp_key e) with
-      | Some (Done { Machine.profile = Some cap; _ }) -> Some (e, cap)
-      | _ -> None)
-    (traced_exps ctx)
+let profiled ctx = logged ctx (fun r -> r.Machine.profile)
 
-let profile_cells ctx =
-  let order = ref [] in
-  let tbl = Hashtbl.create 8 in
-  List.iter
-    (fun (e, cap) ->
-      (* Cell identity: the experiment minus its trial index. *)
-      let cell = { e with trial = 0 } in
-      let key = exp_key cell in
-      match Hashtbl.find_opt tbl key with
-      | Some caps -> Hashtbl.replace tbl key (cap :: caps)
-      | None ->
-        order := (key, cell) :: !order;
-        Hashtbl.add tbl key [ cap ])
-    (profiled ctx);
-  List.rev_map
-    (fun (key, cell) ->
-      (cell, Obs.Prof.merge (List.rev (Hashtbl.find tbl key))))
-    !order
+let profile_cells ctx = by_cell Obs.Prof.merge (profiled ctx)
 
 let cell_label e =
   Printf.sprintf "%s/%s/%.0f%%/%s"
@@ -821,32 +822,9 @@ let write_folded ctx ~path =
 (* heatmap CSV writer — both in the deterministic log order.           *)
 (* ------------------------------------------------------------------ *)
 
-let vmstatted ctx =
-  List.filter_map
-    (fun e ->
-      match cache_find ctx (exp_key e) with
-      | Some (Done { Machine.vmstat = Some cap; _ }) -> Some (e, cap)
-      | _ -> None)
-    (traced_exps ctx)
+let vmstatted ctx = logged ctx (fun r -> r.Machine.vmstat)
 
-let vmstat_cells ctx =
-  let order = ref [] in
-  let tbl = Hashtbl.create 8 in
-  List.iter
-    (fun (e, cap) ->
-      (* Cell identity: the experiment minus its trial index. *)
-      let cell = { e with trial = 0 } in
-      let key = exp_key cell in
-      match Hashtbl.find_opt tbl key with
-      | Some caps -> Hashtbl.replace tbl key (cap :: caps)
-      | None ->
-        order := (key, cell) :: !order;
-        Hashtbl.add tbl key [ cap ])
-    (vmstatted ctx);
-  List.rev_map
-    (fun (key, cell) ->
-      (cell, Obs.Vmstat.merge (List.rev (Hashtbl.find tbl key))))
-    !order
+let vmstat_cells ctx = by_cell Obs.Vmstat.merge (vmstatted ctx)
 
 let heatmap_csv_header =
   "workload,policy,ratio,swap,trial,t_ns,asid,start_vpn,pages,accessed"
@@ -857,27 +835,24 @@ let write_heatmap ctx ~path =
       Out.string out heatmap_csv_header;
       Out.end_line out;
       List.iter
-        (fun e ->
-          match cache_find ctx (exp_key e) with
-          | Some (Done { Machine.heatmap = Some cap; _ }) ->
-            let prefix = csv_prefix e in
-            let col n =
-              Out.char out ',';
-              Out.int out n
-            in
-            Array.iter
-              (fun (row : Mem.Damon.row) ->
-                Out.string out prefix;
-                Out.int out row.Mem.Damon.w_t_ns;
-                col row.Mem.Damon.w_asid;
-                col row.Mem.Damon.w_start;
-                col row.Mem.Damon.w_pages;
-                col row.Mem.Damon.w_accessed;
-                Out.end_line out;
-                incr written)
-              cap.Mem.Damon.rows
-          | _ -> ())
-        (traced_exps ctx);
+        (fun (e, cap) ->
+          let prefix = csv_prefix e in
+          let col n =
+            Out.char out ',';
+            Out.int out n
+          in
+          Array.iter
+            (fun (row : Mem.Damon.row) ->
+              Out.string out prefix;
+              Out.int out row.Mem.Damon.w_t_ns;
+              col row.Mem.Damon.w_asid;
+              col row.Mem.Damon.w_start;
+              col row.Mem.Damon.w_pages;
+              col row.Mem.Damon.w_accessed;
+              Out.end_line out;
+              incr written)
+            cap.Mem.Damon.rows)
+        (logged ctx (fun r -> r.Machine.heatmap));
       !written)
 
 (* Chrome trace-event JSON ("X" complete events, ts/dur in µs) from the

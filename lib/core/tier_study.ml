@@ -4,11 +4,17 @@ let run_one ctx ~workload ~policy ~fast_frac ~trial =
   let fast = max 64 (int_of_float (float_of_int footprint *. fast_frac)) in
   let slow = footprint - fast + (footprint / 10) in
   let cfg =
-    Tiering.Tier_machine.default_config ~fast_frames:fast ~slow_frames:slow
-      ~seed:(1_000_003 * (trial + 1))
+    {
+      (Machine.default_config ~capacity_frames:(fast + slow)
+         ~seed:(1_000_003 * (trial + 1)))
+      with
+      Machine.tiering =
+        Some
+          (Machine.tiering ~fast_frames:fast (Tiering.Tier_registry.create policy));
+    }
   in
-  Tiering.Tier_machine.run cfg
-    ~policy:(Tiering.Tier_registry.create policy)
+  Machine.run cfg
+    ~policy:(Policy.Registry.create Policy.Registry.Clock)
     ~workload:w
 
 let study_workloads = [ Runner.Tpch; Runner.Pagerank; Runner.Ycsb Workload.Ycsb.B ]
@@ -18,10 +24,11 @@ let study ?(fast_frac = 0.5) ?(trials = 3) ctx () =
     (Printf.sprintf "Tiered memory study: fast tier = %.0f%% of footprint"
        (fast_frac *. 100.0));
   Report.note
-    "Runtime, slow-tier access share and migration traffic per policy; no";
-  Report.note "swap device - every touch completes, slow ones just cost more.";
+    "Runtime, slow-tier access share and migration traffic per policy; the";
+  Report.note
+    "tiers hold the footprint, so nothing swaps - slow touches cost more.";
   (* The whole workload x policy x trial grid runs through the domain
-     pool in one batch; each trial builds its own workload and tier
+     pool in one batch; each trial builds its own workload and tiered
      machine, so cells are independent.  Results come back in input
      order and feed the serial table pass below. *)
   let grid =
@@ -68,22 +75,20 @@ let study ?(fast_frac = 0.5) ?(trials = 3) ctx () =
               List.fold_left (fun acc r -> acc +. f r) 0.0 results
               /. float_of_int trials
             in
+            let tier f r = f (Option.get r.Machine.tier) in
             [
               Tiering.Tier_registry.name policy;
               Report.fsec
-                (mean (fun r ->
-                     float_of_int r.Tiering.Tier_machine.runtime_ns /. 1e9));
-              Printf.sprintf "%.1f%%"
-                (100.0 *. mean Tiering.Tier_machine.slow_fraction);
+                (mean (fun r -> float_of_int r.Machine.runtime_ns /. 1e9));
+              Printf.sprintf "%.1f%%" (100.0 *. mean (tier Machine.slow_fraction));
               Report.fcount
-                (mean (fun r -> float_of_int r.Tiering.Tier_machine.promotions));
+                (mean (tier (fun t -> float_of_int t.Machine.promotions)));
               Report.fcount
-                (mean (fun r -> float_of_int r.Tiering.Tier_machine.demotions));
+                (mean (tier (fun t -> float_of_int t.Machine.demotions)));
               Report.fcount
-                (mean (fun r -> float_of_int r.Tiering.Tier_machine.hint_faults));
+                (mean (tier (fun t -> float_of_int t.Machine.hint_faults)));
               Report.fcount
-                (mean (fun r ->
-                     float_of_int r.Tiering.Tier_machine.failed_promotions));
+                (mean (tier (fun t -> float_of_int t.Machine.failed_promotions)));
             ])
           Tiering.Tier_registry.all
       in

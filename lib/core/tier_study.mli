@@ -1,7 +1,8 @@
 (** Comparison harness for the §II-C migration-policy design space.
 
-    Runs the paper's workloads over the two-tier machine (no swap; fast
-    DRAM + slow CXL-like tier) under every registered migration policy
+    Runs the paper's workloads on a tiered {!Machine} (fast DRAM + slow
+    CXL-like pool, sized so nothing swaps) under every registered
+    migration policy, with Clock as the replacement policy,
     and reports runtime, the slow-tier access fraction, and migration
     traffic — the tiering analogue of the replacement figures.  Not part
     of the paper's evaluation, but the design space its background
@@ -19,9 +20,9 @@ val run_one :
   policy:Tiering.Tier_registry.spec ->
   fast_frac:float ->
   trial:int ->
-  Tiering.Tier_machine.result
+  Machine.result
 (** One trial: fast tier sized at [fast_frac] of the footprint, the slow
-    tier holding the rest (plus slack). *)
+    tier holding the rest (plus slack); [result.tier] is always set. *)
 
 val study : ?fast_frac:float -> ?trials:int -> Runner.ctx -> unit -> unit
 (** Print the full comparison table for TPC-H, PageRank and YCSB-B at

@@ -8,6 +8,10 @@
     - bit 2: dirty
     - bit 3: file-backed (page cache rather than anonymous)
     - bit 4: swapped (contents live in a swap slot)
+    - bit 5: hint — a migration policy armed a NUMA-hinting fault on a
+      present page (Linux maps it [PROT_NONE]); the next touch traps
+    - bit 6: slow — the frame belongs to a slow-tier pool, so every
+      touch pays the slow tier's latency
     - bits 8+: payload — the physical frame number while present, the
       swap slot while swapped
 
@@ -27,6 +31,14 @@ val dirty : t -> bool
 val file_backed : t -> bool
 
 val swapped : t -> bool
+
+val hinted : t -> bool
+
+val slow : t -> bool
+
+val hit : t -> bool
+(** Present, no hint armed, fast tier: the touch completes in hardware
+    at full speed.  One mask compare. *)
 
 val payload : t -> int
 (** Frame number or swap slot, depending on state. *)
@@ -48,12 +60,23 @@ val set_dirty : t -> t
 
 val clear_dirty : t -> t
 
+val set_hint : t -> t
+
+val clear_hint : t -> t
+
+val set_slow : t -> t
+
 val to_swapped : t -> slot:int -> t
 (** Unmap a present entry, recording its swap slot.  Keeps the
-    file-backed flag; clears accessed/dirty. *)
+    file-backed flag; clears accessed/dirty/hint/slow. *)
 
 val to_mapped : t -> pfn:int -> t
-(** Map a swapped (or empty) entry to a frame.  Keeps the file-backed
-    flag; accessed/dirty start clear. *)
+(** Map an entry to a frame.  Keeps the file-backed flag;
+    accessed/dirty/hint/slow start clear. *)
+
+val remap : t -> pfn:int -> t
+(** Point a present entry at another frame, as page migration does:
+    every flag carries over except the tier bit, which belongs to the
+    new frame's pool. *)
 
 val pp : Format.formatter -> t -> unit

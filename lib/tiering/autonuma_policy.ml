@@ -32,9 +32,8 @@ let create_with ?(config = default_config) env =
 
 let create env = create_with env
 
-let initial_tier t ~vpn:_ =
-  if t.env.Migration_intf.fast_free () > 0 then Migration_intf.Fast
-  else Migration_intf.Slow
+(* Fast first; the machine places the page slow once fast is full. *)
+let initial_tier _t ~vpn:_ = Migration_intf.Fast
 
 let on_placed _t ~vpn:_ _tier = ()
 
@@ -49,7 +48,7 @@ let on_hint_fault t ~vpn tier ~write:_ =
 let kthread t () =
   if t.just_worked then begin
     t.just_worked <- false;
-    Migration_intf.Sleep t.config.scan_period_ns
+    Policy.Policy_intf.Sleep t.config.scan_period_ns
   end
   else begin
     let pages = Mem.Page_table.pages t.env.Migration_intf.pt in
@@ -64,10 +63,10 @@ let kthread t () =
     done;
     t.scan_steps <- t.scan_steps + 1;
     t.just_worked <- true;
-    Migration_intf.Work !work
+    Policy.Policy_intf.Work !work
   end
 
-let kthreads t = [ { Migration_intf.kname = "numa_balancer"; kstep = kthread t } ]
+let kthreads t = [ { Policy.Policy_intf.kname = "numa_balancer"; kstep = kthread t } ]
 
 let stats t =
   [

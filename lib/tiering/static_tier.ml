@@ -3,17 +3,14 @@
     baseline every migration policy must beat — and what a tiered system
     degenerates to when its policy cannot keep up. *)
 
-type t = {
-  env : Migration_intf.env;
-}
+type t = unit
 
 let policy_name = "static"
 
-let create env = { env }
+let create _env = ()
 
-let initial_tier t ~vpn:_ =
-  if t.env.Migration_intf.fast_free () > 0 then Migration_intf.Fast
-  else Migration_intf.Slow
+(* Fast first; the machine places the page slow once fast is full. *)
+let initial_tier () ~vpn:_ = Migration_intf.Fast
 
 let on_placed _t ~vpn:_ _tier = ()
 

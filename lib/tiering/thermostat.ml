@@ -55,9 +55,8 @@ let create_with ?(config = default_config) (env : Migration_intf.env) =
 
 let create env = create_with env
 
-let initial_tier t ~vpn:_ =
-  if t.env.Migration_intf.fast_free () > 0 then Migration_intf.Fast
-  else Migration_intf.Slow
+(* Fast first; the machine places the page slow once fast is full. *)
+let initial_tier _t ~vpn:_ = Migration_intf.Fast
 
 let on_placed _t ~vpn:_ _tier = ()
 
@@ -156,18 +155,18 @@ let kthread t () =
     let work = ref 1_000 in
     arm_samples t work;
     t.phase <- Wait;
-    Migration_intf.Work !work
+    Policy.Policy_intf.Work !work
   | Wait ->
     t.phase <- Apply;
-    Migration_intf.Sleep t.config.epoch_ns
+    Policy.Policy_intf.Sleep t.config.epoch_ns
   | Apply ->
     t.epochs <- t.epochs + 1;
     let work = ref 1_000 in
     apply_epoch t work;
     t.phase <- Arm;
-    Migration_intf.Work !work
+    Policy.Policy_intf.Work !work
 
-let kthreads t = [ { Migration_intf.kname = "thermostat"; kstep = kthread t } ]
+let kthreads t = [ { Policy.Policy_intf.kname = "thermostat"; kstep = kthread t } ]
 
 let stats t =
   [

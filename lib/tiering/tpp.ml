@@ -177,17 +177,17 @@ let on_hint_fault t ~vpn tier ~write:_ =
 let kthread t () =
   if t.just_worked then begin
     t.just_worked <- false;
-    Migration_intf.Sleep t.config.wakeup_ns
+    Policy.Policy_intf.Sleep t.config.wakeup_ns
   end
   else begin
     let work = ref 1_000 in
     demote_for_headroom t work;
     arm_hints t work;
     t.just_worked <- true;
-    Migration_intf.Work !work
+    Policy.Policy_intf.Work !work
   end
 
-let kthreads t = [ { Migration_intf.kname = "tpp"; kstep = kthread t } ]
+let kthreads t = [ { Policy.Policy_intf.kname = "tpp"; kstep = kthread t } ]
 
 let stats t =
   [

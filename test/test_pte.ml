@@ -65,6 +65,25 @@ let prop_swap_preserves_slot =
       let pte = P.mapped ~pfn ~file_backed:false in
       P.swap_slot (P.to_swapped pte ~slot) = slot)
 
+let test_tier_bits () =
+  let pte = P.set_dirty (P.set_accessed (P.mapped ~pfn:7 ~file_backed:true)) in
+  Alcotest.(check bool) "plain present is a hit" true (P.hit pte);
+  Alcotest.(check bool) "hinted is no hit" false (P.hit (P.set_hint pte));
+  Alcotest.(check bool) "slow is no hit" false (P.hit (P.set_slow pte));
+  Alcotest.(check bool) "empty is no hit" false (P.hit P.empty);
+  Alcotest.(check bool) "hinted still present" true (P.present (P.set_hint pte));
+  Alcotest.(check bool) "clear_hint" false (P.hinted (P.clear_hint (P.set_hint pte)));
+  let moved = P.remap (P.set_slow (P.set_hint pte)) ~pfn:3 in
+  Alcotest.(check int) "remap pfn" 3 (P.pfn moved);
+  Alcotest.(check bool) "remap keeps accessed" true (P.accessed moved);
+  Alcotest.(check bool) "remap keeps dirty" true (P.dirty moved);
+  Alcotest.(check bool) "remap keeps file" true (P.file_backed moved);
+  Alcotest.(check bool) "remap keeps hint" true (P.hinted moved);
+  Alcotest.(check bool) "remap drops tier" false (P.slow moved);
+  let swapped = P.to_swapped (P.set_slow (P.set_hint pte)) ~slot:1 in
+  Alcotest.(check bool) "swap-out drops hint" false (P.hinted swapped);
+  Alcotest.(check bool) "swap-out drops tier" false (P.slow swapped)
+
 let () =
   Alcotest.run "pte"
     [
@@ -76,6 +95,7 @@ let () =
           Alcotest.test_case "swap roundtrip" `Quick test_swap_roundtrip;
           Alcotest.test_case "wrong state raises" `Quick test_wrong_state_raises;
           Alcotest.test_case "large payload" `Quick test_large_payload;
+          Alcotest.test_case "tier bits" `Quick test_tier_bits;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
