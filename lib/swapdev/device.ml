@@ -5,10 +5,12 @@ type error = Transient | Permanent
 type status = Done | Failed of error
 
 type completion = {
-  finish_ns : int;
-  cpu_ns : int;
-  status : status;
+  mutable finish_ns : int;
+  mutable cpu_ns : int;
+  mutable status : status;
 }
+
+let completion () = { finish_ns = 0; cpu_ns = 0; status = Done }
 
 type t = {
   name : string;
@@ -17,9 +19,5 @@ type t = {
   writes : unit -> int;
   busy_until : unit -> int;
 }
-
-let op_name = function Read -> "read" | Write -> "write"
-
-let error_name = function Transient -> "transient" | Permanent -> "permanent"
 
 let ok completion = completion.status = Done

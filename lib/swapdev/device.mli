@@ -22,18 +22,26 @@ type error =
 
 type status = Done | Failed of error
 
+(** The outcome of the last operation.  A device owns one completion
+    record and every [submit] fills it in and returns it, so a
+    submission allocates nothing; read the fields before the next
+    [submit] on the same device. *)
 type completion = {
-  finish_ns : int;  (** absolute virtual time the operation resolved —
-                        data available on [Done], error reported on
-                        [Failed] *)
-  cpu_ns : int;     (** host compute consumed by this operation *)
-  status : status;
+  mutable finish_ns : int;
+      (** absolute virtual time the operation resolved — data available
+          on [Done], error reported on [Failed] *)
+  mutable cpu_ns : int;  (** host compute consumed by this operation *)
+  mutable status : status;
 }
+
+val completion : unit -> completion
+(** A fresh record for a device to own: [Done] at time 0. *)
 
 type t = {
   name : string;
   submit : now:int -> op:op -> size_fraction:float -> completion;
-      (** [size_fraction] is the compressed-size fraction for
+      (** Returns the device's own completion record, refilled.
+          [size_fraction] is the compressed-size fraction for
           compressing devices; plain block devices ignore it. *)
   reads : unit -> int;
   writes : unit -> int;
@@ -41,10 +49,6 @@ type t = {
       (** latest scheduled completion over all channels; an idleness
           probe for tests *)
 }
-
-val op_name : op -> string
-
-val error_name : error -> string
 
 val ok : completion -> bool
 (** [status = Done]. *)

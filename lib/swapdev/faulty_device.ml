@@ -119,12 +119,19 @@ let degrade t ?latency ?errors ?wear () =
   t.write <- turn t.write;
   Option.iter (fun l -> t.latency <- l) latency
 
-let fail t c kind =
+(* The wrapper rewrites the inner device's completion record in place;
+   [Failed Transient] and [Failed Permanent] are static constants, so
+   an injected outcome allocates nothing either. *)
+let fail t (c : Device.completion) kind =
   let n = t.counters in
   (match kind with
-  | Device.Transient -> n.transient_errors <- n.transient_errors + 1
-  | Device.Permanent -> n.permanent_errors <- n.permanent_errors + 1);
-  { c with Device.status = Device.Failed kind }
+  | Device.Transient ->
+    n.transient_errors <- n.transient_errors + 1;
+    c.Device.status <- Device.Failed Device.Transient
+  | Device.Permanent ->
+    n.permanent_errors <- n.permanent_errors + 1;
+    c.Device.status <- Device.Failed Device.Permanent);
+  c
 
 let submit t inner ~now ~op ~size_fraction =
   let k = t.plan in
@@ -174,8 +181,8 @@ let submit t inner ~now ~op ~size_fraction =
       finish :=
         now + int_of_float (float_of_int observed *. k.tail_multiplier)
     end;
-    if !finish = c.Device.finish_ns then c
-    else { c with Device.finish_ns = !finish }
+    c.Device.finish_ns <- !finish;
+    c
   end
 
 let wrap ~plan ~rng inner =

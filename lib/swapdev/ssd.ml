@@ -21,6 +21,7 @@ let create ?(config = default_config) ~rng () =
   if config.channels <= 0 then invalid_arg "Ssd.create: channels must be positive";
   let free_at = Array.make config.channels 0 in
   let reads = ref 0 and writes = ref 0 in
+  let c = Device.completion () in
   let earliest_channel () =
     let best = ref 0 in
     for i = 1 to config.channels - 1 do
@@ -51,7 +52,10 @@ let create ?(config = default_config) ~rng () =
     let start = max now free_at.(ch) in
     let finish = start + service in
     free_at.(ch) <- finish;
-    { Device.finish_ns = finish; cpu_ns = config.cpu_per_op_ns; status = Device.Done }
+    c.Device.finish_ns <- finish;
+    c.Device.cpu_ns <- config.cpu_per_op_ns;
+    c.Device.status <- Device.Done;
+    c
   in
   {
     Device.name = "ssd";

@@ -9,31 +9,27 @@ type t = {
      unconditionally — one int store, never a branch on configuration. *)
   vmstat : Obs.Vmstat.t;
   mutable ratios : float array; (* slot -> size fraction; nan = free *)
-  mutable free : int list;
+  (* Free slots, a LIFO stack in [free.(0 .. nfree - 1)]; it never holds
+     more than the slots handed out, so it grows with [ratios]. *)
+  mutable free : int array;
+  mutable nfree : int;
   mutable next_slot : int;
   mutable used : int;
   mutable peak : int;
-  mutable compressed : float; (* sum of in-use size fractions *)
+  (* Sum of in-use size fractions, in a one-element float array so an
+     update stores an unboxed float instead of allocating one. *)
+  compressed : float array;
   mutable ins : int;
   mutable outs : int;
   mutable retries : int;
   mutable remaps : int;
-  mutable read_failures : int;
-  mutable write_failures : int;
-  (* Out-fields of the last swap_out_slot/swap_in_slot: the fault path
-     reads these instead of a freshly allocated [io] record. *)
+  (* Out-fields of the last swap_out_slot/swap_in_slot, read back by the
+     fault path instead of a per-operation result record. *)
   mutable last_finish_ns : int;
   mutable last_cpu_ns : int;
   mutable last_retries : int;
   mutable last_failed : bool;
   mutable last_remapped : bool;
-}
-
-type io = {
-  finish_ns : int;
-  cpu_ns : int;
-  io_retries : int;
-  failed : bool;
 }
 
 let create ?(max_retries = 4) ?(backoff_ns = 100_000) ?(obs = Obs.disabled)
@@ -48,17 +44,16 @@ let create ?(max_retries = 4) ?(backoff_ns = 100_000) ?(obs = Obs.disabled)
     vmstat =
       (match vmstat with Some v -> v | None -> Obs.Vmstat.create ());
     ratios = Array.make 1024 nan;
-    free = [];
+    free = Array.make 1024 0;
+    nfree = 0;
     next_slot = 0;
     used = 0;
     peak = 0;
-    compressed = 0.0;
+    compressed = [| 0.0 |];
     ins = 0;
     outs = 0;
     retries = 0;
     remaps = 0;
-    read_failures = 0;
-    write_failures = 0;
     last_finish_ns = 0;
     last_cpu_ns = 0;
     last_retries = 0;
@@ -72,18 +67,22 @@ let grow t =
   let n = Array.length t.ratios in
   let ratios = Array.make (2 * n) nan in
   Array.blit t.ratios 0 ratios 0 n;
-  t.ratios <- ratios
+  t.ratios <- ratios;
+  let free = Array.make (2 * n) 0 in
+  Array.blit t.free 0 free 0 t.nfree;
+  t.free <- free
 
 let alloc_slot t =
-  match t.free with
-  | slot :: rest ->
-    t.free <- rest;
-    slot
-  | [] ->
+  if t.nfree > 0 then begin
+    t.nfree <- t.nfree - 1;
+    t.free.(t.nfree)
+  end
+  else begin
     let slot = t.next_slot in
     t.next_slot <- slot + 1;
     if slot >= Array.length t.ratios then grow t;
     slot
+  end
 
 let slot_in_use t slot =
   slot >= 0 && slot < Array.length t.ratios && not (Float.is_nan t.ratios.(slot))
@@ -92,16 +91,17 @@ let release t ~slot =
   if not (slot_in_use t slot) then invalid_arg "Swap_manager.release: slot not in use";
   let ratio = t.ratios.(slot) in
   t.ratios.(slot) <- nan;
-  t.free <- slot :: t.free;
+  t.free.(t.nfree) <- slot;
+  t.nfree <- t.nfree + 1;
   t.used <- t.used - 1;
-  t.compressed <- t.compressed -. ratio
+  t.compressed.(0) <- t.compressed.(0) -. ratio
 
 let take_slot t ratio =
   let slot = alloc_slot t in
   t.ratios.(slot) <- ratio;
   t.used <- t.used + 1;
   if t.used > t.peak then t.peak <- t.used;
-  t.compressed <- t.compressed +. ratio;
+  t.compressed.(0) <- t.compressed.(0) +. ratio;
   slot
 
 (* Exponential backoff in *simulated* time: the retry is submitted only
@@ -109,9 +109,9 @@ let take_slot t ratio =
 let backoff t tries = t.backoff_ns * (1 lsl min tries 10)
 
 (* The attempt loops are top-level recursive functions over int
-   arguments (no local closure), writing their outcome into the
-   [last_*] out-fields: one logical swap operation allocates nothing
-   beyond the device layer's completion record per attempt. *)
+   arguments (no local closure), reading the device's reused completion
+   record and writing their outcome into the [last_*] out-fields: one
+   logical swap operation allocates only the boxed size fraction. *)
 
 let rec out_attempt t ratio slot now tries cpu =
   let c = t.device.Device.submit ~now ~op:Device.Write ~size_fraction:ratio in
@@ -128,7 +128,6 @@ let rec out_attempt t ratio slot now tries cpu =
   | Device.Failed kind ->
     if tries >= t.max_retries then begin
       release t ~slot;
-      t.write_failures <- t.write_failures + 1;
       t.last_finish_ns <- c.Device.finish_ns;
       t.last_cpu_ns <- cpu;
       t.last_retries <- tries;
@@ -168,12 +167,6 @@ let swap_out_slot t ~now ~klass ~page_key =
          });
   slot
 
-let swap_out t ~now ~klass ~page_key =
-  let slot = swap_out_slot t ~now ~klass ~page_key in
-  ( (if slot < 0 then None else Some slot),
-    { finish_ns = t.last_finish_ns; cpu_ns = t.last_cpu_ns;
-      io_retries = t.last_retries; failed = t.last_failed } )
-
 let rec in_attempt t ratio now tries cpu =
   let c = t.device.Device.submit ~now ~op:Device.Read ~size_fraction:ratio in
   let cpu = cpu + c.Device.cpu_ns in
@@ -191,7 +184,6 @@ let rec in_attempt t ratio now tries cpu =
   | Device.Failed _ ->
     (* Permanent, or transient retries exhausted: the stored page is
        unreachable — the caller must poison the mapping. *)
-    t.read_failures <- t.read_failures + 1;
     t.last_finish_ns <- c.Device.finish_ns;
     t.last_cpu_ns <- cpu;
     t.last_retries <- tries;
@@ -210,16 +202,9 @@ let swap_in_slot t ~now ~slot =
            failed = t.last_failed;
          })
 
-let swap_in t ~now ~slot =
-  swap_in_slot t ~now ~slot;
-  { finish_ns = t.last_finish_ns; cpu_ns = t.last_cpu_ns;
-    io_retries = t.last_retries; failed = t.last_failed }
-
 let last_finish_ns t = t.last_finish_ns
 
 let last_cpu_ns t = t.last_cpu_ns
-
-let last_io_retries t = t.last_retries
 
 let last_failed t = t.last_failed
 
@@ -227,7 +212,7 @@ let used_slots t = t.used
 
 let peak_slots t = t.peak
 
-let compressed_bytes t = t.compressed *. 4096.0
+let compressed_bytes t = t.compressed.(0) *. 4096.0
 
 let swap_ins t = t.ins
 
@@ -237,6 +222,3 @@ let io_retries t = t.retries
 
 let io_remaps t = t.remaps
 
-let read_failures t = t.read_failures
-
-let write_failures t = t.write_failures

@@ -4,7 +4,7 @@
     compressed-size fraction (relevant for ZRAM service time and pool
     accounting), and forwards the I/O to the underlying device.
 
-    Slots survive {!swap_in} — the machine keeps them as a swap cache so
+    Slots survive {!swap_in_slot} — the machine keeps them as a swap cache so
     clean pages can be evicted again without a writeback (as the kernel
     does) — and are freed explicitly with {!release}.
 
@@ -12,8 +12,12 @@
     errors are retried with exponential backoff in simulated time, a
     permanent write error remaps the page to a fresh slot, and a
     permanent read error (or transient retries exhausted) surfaces as
-    [failed = true] so the machine can poison the page.  The {!io}
-    result aggregates the timing and CPU of every attempt. *)
+    {!last_failed} so the machine can poison the page.
+
+    An operation allocates no result: its outcome, aggregating the
+    timing and CPU of every attempt, is written into out-fields read
+    back through the [last_*] getters, valid until the next operation
+    on this manager. *)
 
 type t
 
@@ -31,49 +35,26 @@ val create :
 
 val device : t -> Device.t
 
-(** Outcome of one logical swap operation, including every retry. *)
-type io = {
-  finish_ns : int;  (** when the final attempt resolved *)
-  cpu_ns : int;     (** host CPU summed over all attempts *)
-  io_retries : int; (** resubmissions performed *)
-  failed : bool;    (** gave up: data unwritten (writes) or lost (reads) *)
-}
+val swap_out_slot : t -> now:int -> klass:Compress.klass -> page_key:int -> int
+(** Allocate a slot and write the page; returns the slot.  [-1] means
+    the write failed permanently even after retries and remapping — no
+    slot holds the page, and the caller must keep it resident. *)
 
-val swap_out :
-  t -> now:int -> klass:Compress.klass -> page_key:int -> int option * io
-(** Allocate a slot and write the page; returns [(Some slot, io)] on
-    success.  [(None, io)] means the write failed permanently even after
-    retries and remapping — no slot holds the page, and the caller must
-    keep it resident. *)
-
-val swap_in : t -> now:int -> slot:int -> io
+val swap_in_slot : t -> now:int -> slot:int -> unit
 (** Read a slot's page back.  The slot stays allocated (swap cache).
-    [failed = true] means the data is unrecoverable; the caller should
+    {!last_failed} means the data is unrecoverable; the caller should
     {!release} the slot and poison the page.
     @raise Invalid_argument on a slot not currently in use. *)
 
-(** {2 Allocation-free variants}
-
-    The fault path's entry points: identical semantics to {!swap_out} /
-    {!swap_in}, but the per-operation outcome is written into out-fields
-    read back through [last_*] instead of a freshly allocated [io]
-    record.  The [last_*] values are valid until the next operation on
-    this manager. *)
-
-val swap_out_slot : t -> now:int -> klass:Compress.klass -> page_key:int -> int
-(** {!swap_out} returning the slot, or [-1] on permanent failure. *)
-
-val swap_in_slot : t -> now:int -> slot:int -> unit
-(** {!swap_in}; read the outcome from [last_*].
-    @raise Invalid_argument on a slot not currently in use. *)
-
 val last_finish_ns : t -> int
+(** When the last operation's final attempt resolved. *)
 
 val last_cpu_ns : t -> int
-
-val last_io_retries : t -> int
+(** Host CPU of the last operation, summed over its attempts. *)
 
 val last_failed : t -> bool
+(** The last operation gave up: data unwritten (writes) or lost
+    (reads). *)
 
 val release : t -> slot:int -> unit
 (** Free a slot without I/O (page dirtied or address space torn down).
@@ -101,8 +82,3 @@ val io_retries : t -> int
 val io_remaps : t -> int
 (** Writes moved to a fresh slot after a permanent error. *)
 
-val read_failures : t -> int
-(** Reads abandoned: page contents lost. *)
-
-val write_failures : t -> int
-(** Writes abandoned: page could not leave memory. *)

@@ -14,6 +14,7 @@ let create ?(config = default_config) ~rng () =
   if config.channels <= 0 then invalid_arg "Zram.create: channels must be positive";
   let free_at = Array.make config.channels 0 in
   let reads = ref 0 and writes = ref 0 in
+  let c = Device.completion () in
   let earliest_channel () =
     let best = ref 0 in
     for i = 1 to config.channels - 1 do
@@ -42,7 +43,10 @@ let create ?(config = default_config) ~rng () =
     let finish = start + service in
     free_at.(ch) <- finish;
     (* Compression work runs on the host CPU, not a device controller. *)
-    { Device.finish_ns = finish; cpu_ns = service; status = Device.Done }
+    c.Device.finish_ns <- finish;
+    c.Device.cpu_ns <- service;
+    c.Device.status <- Device.Done;
+    c
   in
   {
     Device.name = "zram";

@@ -13,11 +13,11 @@ let test_ssd_service_time () =
 let test_ssd_queueing () =
   let config = { Swapdev.Ssd.default_config with Swapdev.Ssd.channels = 1; jitter = 0.0 } in
   let dev = Swapdev.Ssd.create ~config ~rng:(Engine.Rng.create 1) () in
-  let c1 = submit_read dev ~now:0 in
-  let c2 = submit_read dev ~now:0 in
+  let f1 = (submit_read dev ~now:0).D.finish_ns in
+  let f2 = (submit_read dev ~now:0).D.finish_ns in
   Alcotest.(check int) "second queues behind first"
-    (2 * config.Swapdev.Ssd.read_ns) c2.D.finish_ns;
-  Alcotest.(check int) "first on time" config.Swapdev.Ssd.read_ns c1.D.finish_ns
+    (2 * config.Swapdev.Ssd.read_ns) f2;
+  Alcotest.(check int) "first on time" config.Swapdev.Ssd.read_ns f1
 
 let test_ssd_parallel_channels () =
   let config = { Swapdev.Ssd.default_config with Swapdev.Ssd.channels = 4; jitter = 0.0 } in
@@ -46,9 +46,9 @@ let test_zram_much_faster () =
 let test_zram_write_slower_than_read () =
   let config = { Swapdev.Zram.default_config with Swapdev.Zram.jitter = 0.0 } in
   let dev = Swapdev.Zram.create ~config ~rng:(Engine.Rng.create 1) () in
-  let r = dev.D.submit ~now:0 ~op:D.Read ~size_fraction:0.5 in
-  let w = dev.D.submit ~now:0 ~op:D.Write ~size_fraction:0.5 in
-  Alcotest.(check bool) "write > read" true (w.D.finish_ns - 0 > r.D.finish_ns - 0)
+  let r = (dev.D.submit ~now:0 ~op:D.Read ~size_fraction:0.5).D.finish_ns in
+  let w = (dev.D.submit ~now:0 ~op:D.Write ~size_fraction:0.5).D.finish_ns in
+  Alcotest.(check bool) "write > read" true (w - 0 > r - 0)
 
 let test_zram_cpu_coupled () =
   let dev = Swapdev.Zram.create ~rng:(Engine.Rng.create 1) () in
@@ -121,6 +121,20 @@ let test_ssd_time_sanity () =
 let test_zram_time_sanity () =
   prop_time_sanity "zram" (fun () -> Swapdev.Zram.create ~rng:(Engine.Rng.create 5) ())
 
+(* A device owns one completion record: each submit refills and returns
+   it rather than allocating a new one. *)
+let test_one_completion_record name dev =
+  let c1 = dev.D.submit ~now:0 ~op:D.Write ~size_fraction:0.5 in
+  let f1 = c1.D.finish_ns in
+  let c2 = dev.D.submit ~now:f1 ~op:D.Read ~size_fraction:0.5 in
+  Alcotest.(check bool) (name ^ ": the same record") true (c1 == c2);
+  Alcotest.(check bool) (name ^ ": refilled by the second submit") true
+    (c1.D.finish_ns > f1 && D.ok c1)
+
+let test_completion_reused () =
+  test_one_completion_record "ssd" (Swapdev.Ssd.create ~rng:(Engine.Rng.create 1) ());
+  test_one_completion_record "zram" (Swapdev.Zram.create ~rng:(Engine.Rng.create 1) ())
+
 let test_stored_bytes_estimate () =
   Alcotest.(check int) "estimate" (4096 * 25)
     (Swapdev.Zram.stored_bytes_estimate ~pages:100 ~mean_ratio:0.25)
@@ -143,6 +157,7 @@ let () =
         [
           Alcotest.test_case "ssd time sanity" `Quick test_ssd_time_sanity;
           Alcotest.test_case "zram time sanity" `Quick test_zram_time_sanity;
+          Alcotest.test_case "one completion record" `Quick test_completion_reused;
         ] );
       ( "zram",
         [

@@ -10,10 +10,13 @@ let inner () =
 let wrap ?(seed = 42) plan =
   F.wrap ~plan ~rng:(Engine.Rng.create seed) (inner ())
 
+(* A device refills one completion record per submit: keep a copy of
+   each outcome. *)
 let drive dev n =
   List.init n (fun i ->
       let op = if i mod 3 = 0 then D.Write else D.Read in
-      dev.D.submit ~now:(i * 50_000) ~op ~size_fraction:0.5)
+      let c = dev.D.submit ~now:(i * 50_000) ~op ~size_fraction:0.5 in
+      { D.finish_ns = c.D.finish_ns; cpu_ns = c.D.cpu_ns; status = c.D.status })
 
 (* Completion time and status (0 done, 1 transient, 2 permanent). *)
 let outcomes dev n =
@@ -153,6 +156,22 @@ let test_failed_ops_occupy_channel () =
   Alcotest.(check int) "reads counted" (plain.D.reads ()) (dev.D.reads ());
   Alcotest.(check int) "writes counted" (plain.D.writes ()) (dev.D.writes ());
   Alcotest.(check int) "busy horizon equal" (plain.D.busy_until ()) (dev.D.busy_until ())
+
+let test_rewrites_inner_record () =
+  (* Injection edits the inner device's completion record in place. *)
+  let plain = inner () in
+  let dev, _ =
+    F.wrap
+      ~plan:{ F.none with F.burst_every_ops = 2; burst_len_ops = 1 }
+      ~rng:(Engine.Rng.create 1) plain
+  in
+  let c = dev.D.submit ~now:0 ~op:D.Read ~size_fraction:0.5 in
+  Alcotest.(check bool) "burst op failed" true (c.D.status = D.Failed D.Transient);
+  let c' = dev.D.submit ~now:0 ~op:D.Read ~size_fraction:0.5 in
+  Alcotest.(check bool) "one record" true (c == c');
+  Alcotest.(check bool) "the next op succeeded" true (D.ok c);
+  Alcotest.(check bool) "the inner device's record" true
+    (c == plain.D.submit ~now:0 ~op:D.Read ~size_fraction:0.5)
 
 let test_plan_of_name () =
   Alcotest.(check bool) "none" true (F.plan_of_name "none" = Some F.none);
@@ -311,6 +330,8 @@ let () =
           Alcotest.test_case "permanent split" `Quick test_permanent_split;
           Alcotest.test_case "failed ops occupy channel" `Quick
             test_failed_ops_occupy_channel;
+          Alcotest.test_case "rewrites the inner record" `Quick
+            test_rewrites_inner_record;
           Alcotest.test_case "plan names" `Quick test_plan_of_name;
         ] );
       ( "knobs",

@@ -34,12 +34,13 @@ let map w ~vpn =
     pfn
 
 let swap_out w ~vpn =
-  match SM.swap_out w.swap ~now:0 ~klass:Swapdev.Compress.Numeric ~page_key:vpn with
-  | Some slot, _ ->
-    Mem.Page_table.set w.pt vpn
-      (Mem.Pte.to_swapped (Mem.Page_table.get w.pt vpn) ~slot);
-    slot
-  | None, _ -> Alcotest.fail "swap_out failed on a fault-free device"
+  let slot =
+    SM.swap_out_slot w.swap ~now:0 ~klass:Swapdev.Compress.Numeric ~page_key:vpn
+  in
+  if slot < 0 then Alcotest.fail "swap_out failed on a fault-free device";
+  Mem.Page_table.set w.pt vpn
+    (Mem.Pte.to_swapped (Mem.Page_table.get w.pt vpn) ~slot);
+  slot
 
 let checks violations = List.map (fun v -> v.I.check) violations
 
@@ -53,10 +54,11 @@ let test_populated_world_clean () =
   let slot9 = swap_out w ~vpn:9 in
   ignore slot9;
   (* resident page 5 with a clean swap-cache copy *)
-  let slot5, _ = SM.swap_out w.swap ~now:0 ~klass:Swapdev.Compress.Numeric ~page_key:5 in
-  (match slot5 with
-  | Some s -> w.retained.(5) <- s
-  | None -> Alcotest.fail "swap_out failed");
+  let slot5 =
+    SM.swap_out_slot w.swap ~now:0 ~klass:Swapdev.Compress.Numeric ~page_key:5
+  in
+  if slot5 < 0 then Alcotest.fail "swap_out failed";
+  w.retained.(5) <- slot5;
   ignore pfn5;
   Alcotest.(check (list string)) "no violations" [] (checks (audit w))
 
